@@ -8,9 +8,11 @@ class, and a brute-force rotation-system genus oracle for validation.
 """
 
 from .errors import (
+    CertificateError,
     ClassViolationError,
     GenusBudgetExceeded,
     GraphInputError,
+    InternalError,
     K33Found,
     NoMSubdivisionError,
 )

@@ -3,7 +3,8 @@ split enumeration, and the genus oracle.
 
 Exit codes: 0 = query answered (whatever the verdict), 1 = input error,
 2 = class violation (some input contains a K3,3), 3 = oracle budget
-refusal.
+refusal.  ``decide`` reports an input error for one graph of a batch
+and goes on with the rest; exit 1 then takes precedence over exit 2.
 """
 
 from __future__ import annotations
@@ -83,9 +84,18 @@ def _budget(args) -> int:
 def cmd_decide(args) -> int:
     graphs = _gather_inputs(args)
     payloads = []
+    saw_input_error = False
     saw_class_violation = False
     for label, g in graphs:
-        verdict = decide_toroidal(g)
+        try:
+            verdict = decide_toroidal(g)
+        except GraphInputError as exc:
+            saw_input_error = True
+            if args.json:
+                payloads.append({"input": label, "error": str(exc)})
+            else:
+                print(f"{label}: input error: {exc}", file=sys.stderr)
+            continue
         if verdict.status == NOT_IN_CLASS:
             saw_class_violation = True
         if args.json:
@@ -94,6 +104,8 @@ def cmd_decide(args) -> int:
             print(f"{label}: {verdict.status} {verdict.case}")
     if args.json:
         print(json.dumps(payloads, indent=2, sort_keys=True))
+    if saw_input_error:
+        return EXIT_INPUT
     return EXIT_CLASS if saw_class_violation else EXIT_OK
 
 

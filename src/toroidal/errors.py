@@ -23,6 +23,15 @@ class K33Found(ClassViolationError):
     pattern)."""
 
 
+class CertificateError(Exception):
+    """A claim of a toroidality certificate does not hold on replay."""
+
+
+class InternalError(RuntimeError):
+    """A result the package computed failed its own check: a bug in the
+    package, never a fault of the input."""
+
+
 class NoMSubdivisionError(Exception):
     """No M-graph subdivision exists where the decision procedure needs one."""
 

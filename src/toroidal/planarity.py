@@ -1,23 +1,37 @@
 """Planarity with Kuratowski witness extraction.
 
-The yes/no test is delegated to networkx's left-right planarity check; the
-independent genus oracle cross-checks it in the test suite.  Witnesses are
-lifted into :class:`SubdivisionWitness` form by classifying an edge-minimal
-non-planar subgraph (always a K5- or K3,3-subdivision) by corner degrees.
+The yes/no test is delegated to networkx's left-right (LR) planarity
+check; the independent genus oracle cross-checks it in the test suite.
+
+A Kuratowski witness is extracted by edge deletion on one mutable copy of
+the non-planar input, which stays non-planar throughout.  Edges are tried
+in ascending order of their end degrees in the input; each deletion also
+removes every vertex it leaves with degree <= 1, and is undone, together
+with that pruning, if the rest is planar.  Two degree counts replace most
+LR tests:
+
+- A TK5 needs five vertices of degree >= 4 and a TK3,3 six of degree >= 3.
+  Fewer than that after a deletion means planar, with no LR test.
+- Once the degrees other than 2 are exactly five 4s or six 3s, the graph is
+  a TK5 or TK3,3 (plus disjoint cycles): its Kuratowski subdivision has to
+  take every such vertex as a branch vertex, hence all their edges and the
+  degree-2 paths between them.  The remaining edges are not tested.
+
+Otherwise the loop ends with an edge-minimal non-planar graph, which by
+Kuratowski's theorem is a K5- or K3,3-subdivision.  Either way the result is
+lifted into :class:`SubdivisionWitness` form by its corner degrees and
+validated against the input.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import networkx as nx
 
-from .errors import ClassViolationError, GraphInputError
+from .errors import ClassViolationError, GraphInputError, InternalError
 from .graphs import Graph
-from .subdivisions import (
-    K5_PATTERN,
-    K33_PATTERN,
-    SubdivisionWitness,
-    find_subdivision,
-)
+from .subdivisions import K5_PATTERN, K33_PATTERN, SubdivisionWitness
 
 _planar_cache: dict[Graph, bool] = {}
 
@@ -42,28 +56,67 @@ def is_planar(g: Graph) -> bool:
     return cached
 
 
-def _prune_low_degree(g: Graph) -> Graph:
-    while True:
-        drop = [v for v in g.vertices if g.degree(v) <= 1]
-        if not drop:
-            return g
-        g = Graph((v for v in g.vertices if v not in drop),
-                  (e for e in g.edges if e[0] not in drop and e[1] not in drop))
+def _prune(h: nx.Graph, candidates) -> list[tuple[int, int]]:
+    """Delete every vertex of degree <= 1 among ``candidates``, and then
+    every vertex that leaves with degree <= 1; return the deleted edges."""
+    removed = []
+    stack = list(candidates)
+    while stack:
+        x = stack.pop()
+        if x in h and h.degree(x) <= 1:
+            for y in h[x]:
+                removed.append((x, y))
+                stack.append(y)
+            h.remove_node(x)
+    return removed
 
 
-def _minimalize_nonplanar(g: Graph) -> Graph:
-    """Shrink to an edge-minimal non-planar subgraph (a Kuratowski
-    subdivision)."""
-    changed = True
-    while changed:
-        changed = False
-        for e in g.edges:
-            smaller = _prune_low_degree(g.delete_edge(*e))
-            if not is_planar(smaller):
-                g = smaller
-                changed = True
-                break
-    return _prune_low_degree(g)
+def _degree_counts(h: nx.Graph) -> Counter:
+    return Counter(d for _, d in h.degree())
+
+
+def _rules_out_kuratowski(counts: Counter) -> bool:
+    """True when too few branch vertices remain for a TK5 (five of degree
+    >= 4) or a TK3,3 (six of degree >= 3), so the graph is planar."""
+    at_least_3 = sum(c for d, c in counts.items() if d >= 3)
+    return at_least_3 < 6 and at_least_3 - counts[3] < 5
+
+
+def _kuratowski_shaped(counts: Counter) -> bool:
+    """Degrees other than 2 are exactly five 4s or six 3s.  A non-planar
+    graph of this shape is a TK5 or a TK3,3 plus disjoint cycles: its
+    Kuratowski subdivision must use every vertex of degree >= 3 as a branch
+    vertex, hence every edge at one and every path of degree-2 vertices
+    between two."""
+    return {d: c for d, c in counts.items() if d != 2} in ({4: 5}, {3: 6})
+
+
+def _kuratowski_subgraph(g: Graph) -> nx.Graph:
+    """A non-planar subgraph of the non-planar ``g`` that is a Kuratowski
+    subdivision, possibly plus disjoint cycles.
+
+    Edges are deleted in ascending order of their end degrees in ``g``, each
+    for good when the rest stays non-planar.  An edge is kept only when the
+    graph without it was planar; the result is a subgraph of that graph, so
+    the loop run to its end leaves an edge-minimal non-planar graph.  It
+    stops early once the degrees alone show the graph is a subdivision.
+    """
+    h = _to_nx(g)
+    _prune(h, list(h))
+    counts = _degree_counts(h)
+    for u, v in sorted(g.edges, key=lambda e: g.degree(e[0]) + g.degree(e[1])):
+        if _kuratowski_shaped(counts):
+            break
+        if not h.has_edge(u, v):
+            continue
+        h.remove_edge(u, v)
+        removed = [(u, v), *_prune(h, (u, v))]
+        smaller = _degree_counts(h)
+        if _rules_out_kuratowski(smaller) or nx.check_planarity(h)[0]:
+            h.add_edges_from(removed)
+        else:
+            counts = smaller
+    return h
 
 
 def _classify_kuratowski(sub: Graph) -> SubdivisionWitness | None:
@@ -137,23 +190,14 @@ def kuratowski_witness(g: Graph) -> SubdivisionWitness:
     """A TK5 or TK3,3 inside the non-planar graph ``g``."""
     if is_planar(g):
         raise GraphInputError("kuratowski_witness needs a non-planar graph")
-    ok, counter = nx.check_planarity(_to_nx(g), counterexample=True)
-    assert not ok
-    sub = Graph(counter.nodes(), counter.edges())
-    witness = _classify_kuratowski(sub)
+    h = _kuratowski_subgraph(g)
+    witness = _classify_kuratowski(Graph(h.nodes(), h.edges()))
     if witness is None:
-        # the counterexample should already be edge-minimal; shrink if not
-        witness = _classify_kuratowski(_minimalize_nonplanar(sub))
-    if witness is not None:
-        try:
-            witness.validate(g)
-            return witness
-        except ValueError:
-            pass
-    # fall back to exhaustive search; one of the two must exist
-    witness = find_subdivision(g, K33_PATTERN) or find_subdivision(g, K5_PATTERN)
-    if witness is None:
-        raise AssertionError("non-planar graph without a Kuratowski subdivision")
+        raise InternalError("Kuratowski extraction left no TK5 or TK3,3")
+    try:
+        witness.validate(g)
+    except ValueError as exc:
+        raise InternalError(f"extracted Kuratowski witness is invalid: {exc}") from exc
     return witness
 
 

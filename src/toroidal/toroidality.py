@@ -17,7 +17,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ClassViolationError, GraphInputError, K33Found, NoMSubdivisionError
+from .errors import (
+    CertificateError,
+    ClassViolationError,
+    GraphInputError,
+    K33Found,
+    NoMSubdivisionError,
+)
 from .graphs import Graph, blocks
 from .planarity import find_k5_subdivision, is_planar
 from .structure import (
@@ -354,25 +360,37 @@ def verify_certificate(g: Graph, verdict: ToroidalityVerdict) -> bool:
     try:
         _verify_certificate(g, verdict)
         return True
-    except (AssertionError, ValueError, KeyError, GraphInputError, K33Found):
+    except (CertificateError, ValueError, KeyError, GraphInputError, K33Found):
         return False
+
+
+def _require(condition: bool, claim: str) -> None:
+    # an explicit check, not assert: replay must also run under python -O
+    if not condition:
+        raise CertificateError(f"certificate claim fails: {claim}")
 
 
 def _check_reports(dec: SideDecomposition, reports) -> None:
     by_corners = {sc.corners: sc for sc in dec.components}
-    assert len(reports) == len(dec.components)
+    _require(len(reports) == len(dec.components), "one report per side component")
     for r in reports:
-        sc = by_corners[r.corners]
-        assert sc.subgraph.n == r.vertices and sc.subgraph.m == r.edges
-        assert sc.corner_edge_present == r.corner_edge_present
-        assert is_planar(sc.subgraph) == r.planar
-        assert is_planar(sc.augmented) == r.augmented_planar
+        sc = by_corners.get(r.corners)
+        _require(
+            sc is not None
+            and (sc.subgraph.n, sc.subgraph.m) == (r.vertices, r.edges)
+            and sc.corner_edge_present == r.corner_edge_present
+            and is_planar(sc.subgraph) == r.planar
+            and is_planar(sc.augmented) == r.augmented_planar,
+            f"the report on side component {r.corners}",
+        )
 
 
 def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     if v.case == CASE_NOT_IN_CLASS:
-        assert v.status == NOT_IN_CLASS
-        assert v.k33 is not None and v.k33.pattern == K33_PATTERN
+        _require(v.status == NOT_IN_CLASS, "status NotInClass")
+        _require(
+            v.k33 is not None and v.k33.pattern == K33_PATTERN, "a TK3,3 witness"
+        )
         v.k33.validate(g)
         return
     decomposition = blocks(g)
@@ -380,48 +398,63 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
         i for i, b in enumerate(decomposition.blocks) if not is_planar(b)
     )
     if v.case == CASE_ALL_PLANAR_BLOCKS:
-        assert v.status == TOROIDAL and not nonplanar
+        _require(v.status == TOROIDAL and not nonplanar, "every block planar")
         return
     if v.case == CASE_TWO_NONPLANAR_BLOCKS:
-        assert v.status == NON_TOROIDAL
-        assert v.nonplanar_blocks == nonplanar and len(nonplanar) >= 2
+        _require(v.status == NON_TOROIDAL, "status NonToroidal")
+        _require(
+            v.nonplanar_blocks == nonplanar and len(nonplanar) >= 2,
+            "two or more non-planar blocks",
+        )
         return
-    assert v.block_index is not None and nonplanar == (v.block_index,)
+    _require(
+        v.block_index is not None and nonplanar == (v.block_index,),
+        "exactly one non-planar block",
+    )
     block = decomposition.blocks[v.block_index]
-    assert v.tk5 is not None and v.tk5.pattern == K5_PATTERN
+    _require(v.tk5 is not None and v.tk5.pattern == K5_PATTERN, "a TK5 witness")
     v.tk5.validate(block)
     dec = decompose_by_corners(block, v.tk5)
     _check_reports(dec, v.components)
     bad = tuple(r.corners for r in v.components if not r.augmented_planar)
     if v.case == CASE_I:
-        assert v.status == TOROIDAL and not bad
+        _require(v.status == TOROIDAL and not bad, "every augmented component planar")
         return
     if v.case == CASE_TWO_NONPLANAR_AUGMENTED:
-        assert v.status == NON_TOROIDAL
-        assert set(v.bad_components) == set(bad) and len(bad) >= 2
+        _require(v.status == NON_TOROIDAL, "status NonToroidal")
+        _require(
+            set(v.bad_components) == set(bad) and len(bad) >= 2,
+            "two or more non-planar augmented components",
+        )
         return
-    assert len(bad) == 1
+    _require(len(bad) == 1, "exactly one non-planar augmented component")
     f = dec.component(*bad[0])
     if v.case == CASE_II:
-        assert v.status == TOROIDAL
-        assert v.special_corners == f.corners
-        assert is_special(f)
+        _require(v.status == TOROIDAL, "status Toroidal")
+        _require(v.special_corners == f.corners, "special corners")
+        _require(is_special(f), "the component is special")
         return
-    assert not is_planar(f.subgraph)
+    _require(not is_planar(f.subgraph), "the component is non-planar")
     if v.case == CASE_NO_VALID_M:
-        assert v.status == NON_TOROIDAL
-        assert find_subdivision(block, M_PATTERN) is None
+        _require(v.status == NON_TOROIDAL, "status NonToroidal")
+        _require(find_subdivision(block, M_PATTERN) is None, "no TM in the block")
         return
-    assert v.tm is not None and v.tm.pattern == M_PATTERN
+    _require(v.tm is not None and v.tm.pattern == M_PATTERN, "a TM witness")
     v.tm.validate(block)
     mdec = m_side_components(block, v.tm)
     _check_reports(mdec, v.m_components)
     m_bad = tuple(r.corners for r in v.m_components if not r.augmented_planar)
     if v.case == CASE_III:
-        assert v.status == TOROIDAL and not m_bad
+        _require(
+            v.status == TOROIDAL and not m_bad,
+            "every augmented M-side component planar",
+        )
         return
     if v.case == CASE_FAILED_M:
-        assert v.status == NON_TOROIDAL
-        assert set(v.bad_components) == set(m_bad) and m_bad
+        _require(v.status == NON_TOROIDAL, "status NonToroidal")
+        _require(
+            set(v.bad_components) == set(m_bad) and bool(m_bad),
+            "the non-planar augmented M-side components",
+        )
         return
-    raise AssertionError(f"unknown certificate case {v.case}")
+    raise CertificateError(f"unknown certificate case {v.case}")

@@ -132,3 +132,34 @@ def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(to_edge_list_text(Graph.complete(4))))
     code, out, _ = run(capsys, "decide")
     assert code == 0 and "AllPlanarBlocks" in out
+
+
+def test_decide_batch_survives_one_input_error(tmp_path, capsys):
+    # G3 with a K4 2-summed onto each of five edges: one 19-vertex block
+    # that reaches the capped exhaustive TM search and is refused as an
+    # input error; the K5 before it must still get its verdict.
+    from toroidal import builtin
+
+    g3 = builtin("G3")
+    edges = list(g3.edges)
+    n = g3.n
+    for u, v in g3.edges[:5]:
+        a, b = n, n + 1
+        n += 2
+        edges += [(u, a), (u, b), (v, a), (v, b), (a, b)]
+    grown = Graph(range(n), edges)
+    assert grown.n == 19
+    path = tmp_path / "batch.txt"
+    path.write_text(
+        to_edge_list_text(Graph.complete(5)) + "\n" + to_edge_list_text(grown)
+    )
+    code, out, err = run(capsys, "decide", str(path), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert [p["input"] for p in payload] == [f"{path}:0", f"{path}:1"]
+    assert payload[0]["status"] == "Toroidal"
+    assert "error" in payload[1] and "status" not in payload[1]
+    code, out, err = run(capsys, "decide", str(path))
+    assert code == 1
+    assert f"{path}:0: Toroidal Case-i" in out
+    assert f"{path}:1: input error" in err

@@ -1,15 +1,19 @@
 import random
 
+import networkx as nx
 import pytest
 
 from toroidal import (
     ClassViolationError,
     GraphInputError,
+    builtin,
     find_k5_subdivision,
     is_planar,
     kuratowski_witness,
     min_genus_bruteforce,
+    planarity,
 )
+from toroidal.obstructions import TOPOLOGICAL_OBSTRUCTION_NAMES
 
 from conftest import atlas_graphs, random_graph, subdivide_edge
 
@@ -65,6 +69,72 @@ def test_witness_always_validates_and_is_nonplanar():
         w.validate(g)
         assert not is_planar(w.as_subgraph())
         checked += 1
+
+
+def _nx_planar(edges) -> bool:
+    G = nx.Graph()
+    G.add_edges_from(edges)
+    return nx.check_planarity(G)[0]
+
+
+def _assert_edge_minimal_witness(g):
+    w = kuratowski_witness(g)
+    w.validate(g)
+    edges = list(w.as_subgraph().edges)
+    assert not _nx_planar(edges)
+    for i in range(len(edges)):
+        assert _nx_planar(edges[:i] + edges[i + 1:]), (g, edges[i])
+
+
+def test_witness_is_edge_minimal_on_small_nonplanar_graphs():
+    checked = 0
+    for g in atlas_graphs(max_n=7):
+        if not is_planar(g):
+            _assert_edge_minimal_witness(g)
+            checked += 1
+    assert checked > 200
+
+
+def test_witness_is_edge_minimal_on_obstruction_minors():
+    checked = 0
+    for name in TOPOLOGICAL_OBSTRUCTION_NAMES:
+        g = builtin(name)
+        for e in g.edges:
+            for minor in (g.delete_edge(*e), g.contract_edge(*e)):
+                if not is_planar(minor):
+                    _assert_edge_minimal_witness(minor)
+                    checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize(
+    "shape, lr_tests",
+    # K3,3 plus a chord: the degree counts answer every deletion but the
+    # chord's, which leaves a K3,3 that only an LR test can tell non-planar
+    [("K5", 0), ("K3,3", 0), ("subdivided K5", 0), ("K3,3 plus a chord", 1)],
+)
+def test_extraction_planarity_tests_on_kuratowski_graphs(
+    shape, lr_tests, k5, k33, monkeypatch
+):
+    chorded = k33.add_edge(0, 1)
+    g = {
+        "K5": k5, "K3,3": k33, "subdivided K5": k5, "K3,3 plus a chord": chorded
+    }[shape]
+    if shape == "subdivided K5":
+        for e in list(g.edges):
+            g = subdivide_edge(g, *e)
+    calls = []
+    original = nx.check_planarity
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(planarity.nx, "check_planarity", counting)
+    h = planarity._kuratowski_subgraph(g)
+    assert len(calls) == lr_tests
+    kept = sorted(tuple(sorted(e)) for e in h.edges())
+    assert kept == list((k33 if g is chorded else g).edges)
 
 
 def test_find_k5_subdivision_identity(k5):

@@ -235,3 +235,31 @@ def test_certificate_verification_rejects_tampering(k5):
     assert not verify_certificate(k5, bad)
     bad2 = dataclasses.replace(v, status=NON_TOROIDAL)
     assert not verify_certificate(k5, bad2)
+
+
+def test_certificate_verification_rejects_tampering_under_optimize():
+    # python -O strips assert statements; replay must not rely on them
+    import os
+    import subprocess
+    import sys
+
+    import toroidal
+
+    script = """
+import dataclasses
+from toroidal import Graph, decide_toroidal, verify_certificate
+from toroidal.toroidality import CASE_II, NON_TOROIDAL
+k5 = Graph.complete(5)
+v = decide_toroidal(k5)
+print(verify_certificate(k5, v),
+      verify_certificate(k5, dataclasses.replace(v, case=CASE_II, special_corners=(0, 1))),
+      verify_certificate(k5, dataclasses.replace(v, status=NON_TOROIDAL)))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toroidal.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "False", "False"]

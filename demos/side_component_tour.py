@@ -9,7 +9,6 @@ from toroidal import (
     find_k5_subdivision,
     is_planar,
     is_special,
-    m_side_components,
 )
 
 g4 = builtin("G4")
@@ -41,7 +40,7 @@ tm = build_m_subdivision(g4, w, f)
 print(f"  TM corners {sorted(tm.corners)}, central pair "
       f"({tm.corner_map[0]}, {tm.corner_map[1]})")
 
-mdec = m_side_components(g4, tm)
+mdec = decompose_by_corners(g4, tm)
 central = mdec.central_component
 print(f"\nThe TM has {len(mdec.components)} side components; the central one has "
       f"{central.subgraph.n} vertices and {central.subgraph.m} edges")

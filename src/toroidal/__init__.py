@@ -69,7 +69,6 @@ from .structure import (
     is_k33_free,
     is_special,
     m_graph,
-    m_side_components,
 )
 from .subdivisions import (
     SubdivisionWitness,

@@ -3,8 +3,9 @@ split enumeration, and the genus oracle.
 
 Exit codes: 0 = query answered (whatever the verdict), 1 = input error,
 2 = class violation (some input contains a K3,3), 3 = oracle budget
-refusal.  ``decide`` reports an input error for one graph of a batch
-and goes on with the rest; exit 1 then takes precedence over exit 2.
+refusal.  ``decide`` parses and decides graph by graph: an input error in
+one graph of a batch is reported for that graph and the rest go on; exit 1
+then takes precedence over exit 2.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
+from functools import partial
 
 from .errors import GenusBudgetExceeded, GraphInputError
 from .genus import DEFAULT_BUDGET, count_torus_embeddings, min_genus_bruteforce
@@ -47,24 +50,25 @@ def _read_text(path: str) -> str:
         raise GraphInputError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_graphs(text: str, fmt: str, label: str) -> list[tuple[str, Graph]]:
-    out = []
+def _parse_graphs(
+    text: str, fmt: str, label: str
+) -> list[tuple[str, Callable[[], Graph]]]:
     if fmt == "graph6":
-        for i, line in enumerate(l for l in text.splitlines() if l.strip()):
-            out.append((f"{label}:{i}", from_graph6(line)))
+        parse, chunks = from_graph6, [l for l in text.splitlines() if l.strip()]
     elif fmt == "edgelist":
+        parse = from_edge_list_text
         chunks = [c for c in text.split("\n\n") if c.strip()]
-        for i, chunk in enumerate(chunks):
-            out.append((f"{label}:{i}", from_edge_list_text(chunk)))
     else:
         raise GraphInputError(f"unknown format {fmt!r}")
-    return out
+    return [(f"{label}:{i}", partial(parse, chunk)) for i, chunk in enumerate(chunks)]
 
 
-def _gather_inputs(args) -> list[tuple[str, Graph]]:
-    graphs: list[tuple[str, Graph]] = []
+def _gather_inputs(args) -> list[tuple[str, Callable[[], Graph]]]:
+    """Each input's label and a loader that parses it, raising
+    GraphInputError for that input alone."""
+    graphs: list[tuple[str, Callable[[], Graph]]] = []
     for name in args.name or ():
-        graphs.append((name, builtin(name)))
+        graphs.append((name, partial(builtin, name)))
     for path in args.files or ():
         graphs.extend(_parse_graphs(_read_text(path), args.format, path))
     if not args.name and not args.files:
@@ -86,9 +90,9 @@ def cmd_decide(args) -> int:
     payloads = []
     saw_input_error = False
     saw_class_violation = False
-    for label, g in graphs:
+    for label, load in graphs:
         try:
-            verdict = decide_toroidal(g)
+            verdict = decide_toroidal(load())
         except GraphInputError as exc:
             saw_input_error = True
             if args.json:
@@ -162,7 +166,8 @@ def cmd_genus(args) -> int:
     budget = _budget(args)
     payloads = []
     try:
-        for label, g in graphs:
+        for label, load in graphs:
+            g = load()
             if args.count_torus:
                 value = count_torus_embeddings(g, budget=budget)
                 key = "torus_embeddings"

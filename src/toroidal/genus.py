@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import GenusBudgetExceeded, GraphInputError
+from .errors import GenusBudgetExceeded, GraphInputError, InternalError
 from .graphs import Graph
 from .isomorphism import automorphisms
 
@@ -88,7 +88,8 @@ def trace_faces(g: Graph, rotation: dict[int, tuple[int, ...]]) -> RotationEmbed
     isolated = sum(1 for v in g.vertices if g.degree(v) == 0)
     c = len(g.connected_components())
     genus2 = 2 * c - (g.n - g.m + len(faces) + isolated)
-    assert genus2 >= 0 and genus2 % 2 == 0
+    if genus2 < 0 or genus2 % 2:
+        raise InternalError(f"face tracing gave twice the genus as {genus2}")
     return RotationEmbedding(g, dict(rotation), tuple(faces), genus2 // 2)
 
 
@@ -400,4 +401,4 @@ def k7_torus_rotation() -> dict[int, tuple[int, ...]]:
         emb = trace_faces(g, rotation)
         if emb.euler_genus == 1 and len(emb.faces) == 14:
             return rotation
-    raise AssertionError("no symmetric K7 torus rotation found")
+    raise InternalError("no symmetric K7 torus rotation found")

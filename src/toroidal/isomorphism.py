@@ -123,9 +123,6 @@ class _CanonSearch:
             self.search(nxt, fixed + [v])
 
 
-_canon_cache: dict[Graph, str] = {}
-
-
 def canonical_labeling(g: Graph) -> dict[int, int]:
     """Map each vertex to its position in the canonical ordering."""
     verts = g.vertices
@@ -147,13 +144,7 @@ def canonical_labeling(g: Graph) -> dict[int, int]:
 def canonical_form(g: Graph) -> str:
     """Canonical label string: graph6 of the canonically relabeled graph.
     Two graphs get the same string exactly when they are isomorphic."""
-    cached = _canon_cache.get(g)
-    if cached is not None:
-        return cached
-    form = to_graph6(g.relabeled(canonical_labeling(g)))
-    if len(_canon_cache) < 200000:
-        _canon_cache[g] = form
-    return form
+    return to_graph6(g.relabeled(canonical_labeling(g)))
 
 
 def _match(g1: Graph, g2: Graph):

@@ -231,7 +231,7 @@ def enumerate_splits(
         key = canonical_form(seed)
         if key in accepted:
             continue
-        if is_k33_free(seed) and is_topological_obstruction(seed):
+        if is_topological_obstruction(seed):
             accepted[key] = seed.normalized()
             frontier.append(seed)
     rejected: set[str] = set()
@@ -244,7 +244,7 @@ def enumerate_splits(
             key = canonical_form(child)
             if key in accepted or key in rejected:
                 continue
-            if is_k33_free(child) and is_topological_obstruction(child):
+            if is_topological_obstruction(child):
                 accepted[key] = child.normalized()
                 frontier.append(child)
                 if log:

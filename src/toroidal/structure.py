@@ -4,25 +4,25 @@ A 2-connected graph with a TK5 and no TK3,3 decomposes into bridges of the
 corner set, each spanning exactly two corners; bridges sharing a corner
 pair form a side component.  A bridge touching three or more corners (or a
 non-adjacent corner pair of an M pattern) certifies a K3,3-subdivision
-instead.  The recursive K3,3-freeness test built on this decomposition is
-the class gate for everything else in the package.
+instead, and one is built from it.  :func:`scan_block` makes one recursive
+pass over a block: it either finds a TK3,3 or returns the decomposition
+that the toroidality decision starts from, so the class gate and the
+decision share one Kuratowski extraction per block.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass
 
-from .errors import GraphInputError, K33Found
+from .errors import GraphInputError, InternalError, K33Found
 from .graphs import BridgeOf, Graph, blocks, bridges_of
-from .isomorphism import canonical_form
 from .planarity import is_planar, kuratowski_witness
 from .subdivisions import (
     K5_PATTERN,
     K33_PATTERN,
     M_PATTERN,
     SubdivisionWitness,
-    find_subdivision,
     pattern_graph,
 )
 
@@ -74,101 +74,117 @@ class SideDecomposition:
         return self.component(a, b)
 
 
-def _junction_paths(bridge: BridgeOf, c1: int, c2: int, c3: int):
-    """Three internally disjoint paths from a common internal junction to
-    c1, c2, c3 inside the bridge, or None if the construction degenerates."""
-    bg = bridge.as_graph()
-    parent = {c1: None}
-    queue = [c1]
+def _bfs_path(
+    g: Graph, sources, passable: set[int], targets: set[int]
+) -> tuple[int, ...]:
+    """A shortest path from a source to a target whose inner vertices all
+    lie in ``passable``; the sources themselves are never targets."""
+    parent: dict[int, int | None] = {s: None for s in sources}
+    queue = deque(parent)
     while queue:
-        v = queue.pop(0)
-        for w in bg.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    if c2 not in parent or c3 not in parent:
-        return None
+        v = queue.popleft()
+        for u in g.neighbors(v):
+            if u in parent:
+                continue
+            parent[u] = v
+            if u in targets:
+                path = [u]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return tuple(reversed(path))
+            if u in passable:
+                queue.append(u)
+    raise InternalError("a bad bridge lacks the path its construction needs")
 
-    def walk(v):
-        path = [v]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return path  # v .. c1
 
-    p2 = walk(c2)
-    on_p2 = {v: i for i, v in enumerate(p2)}
-    v = c3
-    tail3 = [v]
-    while v not in on_p2:
-        v = parent[v]
-        tail3.append(v)
-    z = v
-    if z in (c1, c2, c3):
-        return None
-    i = on_p2[z]
-    to_c2 = tuple(reversed(p2[: i + 1]))  # z .. c2
-    to_c1 = tuple(p2[i:])  # z .. c1
-    to_c3 = tuple(reversed(tail3))  # z .. c3
-    if set(to_c2[1:]) & set(to_c3[1:]):
-        return None
-    return z, {c1: to_c1, c2: to_c2, c3: to_c3}
+def _segment(path: tuple[int, ...], x: int, end: int) -> tuple[int, ...]:
+    """The part of ``path`` from its vertex x to its end vertex ``end``."""
+    i = path.index(x)
+    return path[i::-1] if end == path[0] else path[i:]
 
 
 def _k33_from_bad_bridge(
     g: Graph, w: SubdivisionWitness, bridge: BridgeOf
 ) -> SubdivisionWitness:
-    """Reroute through a bridge spanning >= 3 corners to exhibit a TK3,3;
-    exhaustive search is the fallback when the construction collides."""
-    pat = w.pattern_graph()
+    """A TK3,3 through a bridge of the corner set of ``w`` that spans three
+    or more corners (or, for an M pattern, a non-adjacent corner pair).
+
+    For a TK5 it is built, never searched for.  A bridge holding no interior
+    vertex of a branch path holds a tripod: its internal vertices are
+    connected, so a path from corner a to corner b through them, and a path
+    from corner c to that path's interior, meet at a centre z, giving
+    {a,b,c}|{z,d,e}.  Otherwise let P_ab be a branch path whose interior lies
+    in the bridge.  A path Q from some x inside P_ab through vertices off the
+    TK5 reaches a first TK5 vertex y off P_ab (there is one, as the bridge
+    also attaches at a third corner).  If y is a corner c, or lies inside
+    P_ac, this gives {a,b,c}|{x,d,e}, c's leg running Q and then y..c; if y
+    lies inside P_cd, it gives {a,b,y}|{x,c,d}.
+    """
+    if w.pattern == M_PATTERN:
+        witness = find_k33_subdivision(g)
+        if witness is None:
+            raise InternalError("a bad bridge of a TM in a K3,3-free host")
+        return witness
     inv = {v: p for p, v in w.corner_map.items()}
-    corners_in_bridge = sorted(bridge.attachments)
-    for c1, c2, c3 in itertools.combinations(corners_in_bridge, 3):
-        built = _junction_paths(bridge, c1, c2, c3)
-        if built is None:
-            continue
-        z, zpaths = built
-        # two more corners adjacent (in the pattern) to all of c1, c2, c3
-        candidates = [
-            c
-            for c in w.corners
-            if c not in (c1, c2, c3)
-            and all(pat.has_edge(inv[c], inv[ci]) for ci in (c1, c2, c3))
-        ]
-        for c4, c5 in itertools.combinations(sorted(candidates), 2):
-            corner_map = {0: c1, 1: c2, 2: c3, 3: z, 4: c4, 5: c5}
-            paths: dict[tuple[int, int], tuple[int, ...]] = {}
-            for i, ci in enumerate((c1, c2, c3)):
-                paths[(i, 3)] = tuple(reversed(zpaths[ci]))
-                for j, cj in ((4, c4), (5, c5)):
-                    pe = (inv[ci], inv[cj])
-                    path = w.branch_paths.get(tuple(sorted(pe)))
-                    if path is None:
-                        break
-                    if path[0] != ci:
-                        path = tuple(reversed(path))
-                    paths[(i, j)] = path
-            if len(paths) != 9:
-                continue
-            witness = SubdivisionWitness(K33_PATTERN, corner_map, paths)
-            try:
-                witness.validate(g)
-                return witness
-            except ValueError:
-                continue
-    witness = find_subdivision(g, K33_PATTERN)
-    if witness is None:
-        raise AssertionError("bad bridge without a K3,3-subdivision")
+    bg = bridge.as_graph()
+    hosted = [
+        p for p in w.branch_paths.values() if bridge.internal.intersection(p[1:-1])
+    ]
+    if not hosted:
+        a, b, c = sorted(bridge.attachments)[:3]
+        ab = _bfs_path(bg, [a], bridge.internal, {b})
+        cz = _bfs_path(bg, [c], bridge.internal, set(ab[1:-1]))
+        z = cz[-1]
+        legs = {
+            (a, z): _segment(ab, z, a)[::-1],
+            (b, z): _segment(ab, z, b)[::-1],
+            (c, z): cz,
+        }
+        left, right = (a, b, c), (z, *sorted(w.corners - {a, b, c}))
+    else:
+        pab = hosted[0]
+        a, b = pab[0], pab[-1]
+        on_tk5 = {v for path in w.branch_paths.values() for v in path}
+        q = _bfs_path(bg, pab[1:-1], bridge.internal - on_tk5, on_tk5 - set(pab))
+        x, y = q[0], q[-1]
+        legs = {(a, x): _segment(pab, x, a)[::-1], (b, x): _segment(pab, x, b)[::-1]}
+        path = next((p for p in w.branch_paths.values() if y in p[1:-1]), (y,))
+        ends = sorted({path[0], path[-1]} - {a, b})
+        if len(ends) == 1:  # y is a corner c, or lies inside P_ac or P_bc
+            (c,) = ends
+            legs[(c, x)] = _segment(path, y, c)[::-1] + q[-2::-1]
+            left, right = (a, b, c), (x, *sorted(w.corners - {a, b, c}))
+        else:  # y lies inside P_cd
+            c, d = ends
+            legs[(y, x)] = q[::-1]
+            legs[(y, c)] = _segment(path, y, c)
+            legs[(y, d)] = _segment(path, y, d)
+            left, right = (a, b, y), (x, c, d)
+
+    def leg(s: int, t: int) -> tuple[int, ...]:
+        if (s, t) in legs:
+            return legs[(s, t)]
+        path = w.branch_paths[tuple(sorted((inv[s], inv[t])))]
+        return path if path[0] == s else path[::-1]
+
+    witness = SubdivisionWitness(
+        K33_PATTERN,
+        dict(enumerate(left + right)),
+        {(i, 3 + j): leg(s, t) for i, s in enumerate(left) for j, t in enumerate(right)},
+    )
+    try:
+        witness.validate(g)
+    except ValueError as exc:
+        raise InternalError(f"built TK3,3 witness is invalid: {exc}") from exc
     return witness
 
 
-def decompose_by_corners(
-    g: Graph, w: SubdivisionWitness, extract_witness: bool = True
-) -> SideDecomposition:
+def decompose_by_corners(g: Graph, w: SubdivisionWitness) -> SideDecomposition:
     """Split a 2-connected host into side components of a TK5 or TM.
 
-    Raises :class:`K33Found` when some bridge of the corner set spans three
-    or more corners (or a non-adjacent corner pair, for M patterns); with
-    ``extract_witness`` the exception carries a concrete TK3,3.
+    Raises :class:`K33Found`, carrying a TK3,3 witness, when some bridge of
+    the corner set spans three or more corners (or a non-adjacent corner
+    pair, for M patterns).
     """
     if w.pattern not in (K5_PATTERN, M_PATTERN):
         raise GraphInputError(f"cannot decompose by a {w.pattern} witness")
@@ -181,7 +197,7 @@ def decompose_by_corners(
         if len(att) >= 3:
             raise K33Found(
                 f"bridge spans corners {att}",
-                witness=_k33_from_bad_bridge(g, w, bridge) if extract_witness else None,
+                witness=_k33_from_bad_bridge(g, w, bridge),
             )
         if len(att) < 2:
             raise GraphInputError(
@@ -191,7 +207,7 @@ def decompose_by_corners(
         if not pat.has_edge(inv[a], inv[b]):
             raise K33Found(
                 f"bridge spans non-adjacent corner pair {att}",
-                witness=_k33_from_bad_bridge(g, w, bridge) if extract_witness else None,
+                witness=_k33_from_bad_bridge(g, w, bridge),
             )
         groups.setdefault((a, b), []).append(bridge)
 
@@ -200,8 +216,8 @@ def decompose_by_corners(
         a, b = sorted((w.corner_map[pe[0]], w.corner_map[pe[1]]))
         brs = groups.pop((a, b), None)
         if brs is None:
-            # cannot happen for a valid witness: its own branch path is a bridge
-            raise AssertionError(f"no bridge for pattern edge {pe}")
+            # a valid witness's own branch path is a bridge of this pair
+            raise InternalError(f"no bridge for pattern edge {pe}")
         vs: set[int] = {a, b}
         es: set[tuple[int, int]] = set()
         for br in brs:
@@ -217,15 +233,9 @@ def decompose_by_corners(
                 bridges=tuple(brs),
             )
         )
-    assert not groups
+    if groups:
+        raise InternalError(f"bridges on corner pairs {sorted(groups)} outside the pattern")
     return SideDecomposition(w, frozenset(corners), tuple(components))
-
-
-def m_side_components(g: Graph, w: SubdivisionWitness) -> SideDecomposition:
-    """Side components of an M-subdivision, keyed by M-graph edges."""
-    if w.pattern != M_PATTERN:
-        raise GraphInputError("m_side_components needs an M witness")
-    return decompose_by_corners(g, w)
 
 
 def is_special(sc: SideComponent) -> bool:
@@ -237,68 +247,39 @@ def is_special(sc: SideComponent) -> bool:
     )
 
 
-_k33_free_cache: dict[str, bool] = {}
-
-
-def is_k33_free(g: Graph) -> bool:
-    """True when g has no K3,3-subdivision (equivalently no K3,3-minor)."""
-    return all(_block_k33_free(b) for b in blocks(g).blocks)
-
-
-def _block_k33_free(block: Graph) -> bool:
-    if block.m < 9:
-        return True
-    key = canonical_form(block)
-    cached = _k33_free_cache.get(key)
-    if cached is None:
-        cached = _compute_block_k33_free(block)
-        _k33_free_cache[key] = cached
-    return cached
-
-
-def _compute_block_k33_free(block: Graph) -> bool:
-    if is_planar(block):
-        return True
-    w = kuratowski_witness(block)
-    if w.pattern == K33_PATTERN:
-        return False
-    try:
-        dec = decompose_by_corners(block, w, extract_witness=False)
-    except K33Found:
-        return False
-    return all(is_k33_free(sc.augmented) for sc in dec.components)
-
-
-def find_k33_subdivision(g: Graph) -> SubdivisionWitness | None:
-    """A TK3,3 witness in g, or None when g is K3,3-free."""
-    for block in blocks(g).blocks:
-        if block.m < 9:
-            continue
-        witness = _block_k33_witness(block)
-        if witness is not None:
-            return witness
-    return None
-
-
-def _block_k33_witness(block: Graph) -> SubdivisionWitness | None:
+def scan_block(block: Graph) -> SubdivisionWitness | SideDecomposition | None:
+    """The one pass over a block that both checks the class and feeds the
+    decision: None for a planar block, a TK3,3 witness when the block has
+    one, and otherwise the side decomposition of its TK5, whose augmented
+    side components are then all K3,3-free."""
     if is_planar(block):
         return None
     w = kuratowski_witness(block)
     if w.pattern == K33_PATTERN:
         return w
     try:
-        dec = decompose_by_corners(block, w, extract_witness=True)
+        dec = decompose_by_corners(block, w)
     except K33Found as exc:
         return exc.witness
     for sc in dec.components:
         inner = find_k33_subdivision(sc.augmented)
-        if inner is None:
-            continue
-        a, b = sc.corners
-        if sc.subgraph.has_edge(a, b):
-            return inner  # augmentation added nothing: already a subgraph of block
-        return _lift_through_augmentation(block, w, inner, a, b)
+        if inner is not None:
+            return _lift_through_augmentation(block, w, inner, *sc.corners)
+    return dec
+
+
+def find_k33_subdivision(g: Graph) -> SubdivisionWitness | None:
+    """A TK3,3 witness in g, or None when g is K3,3-free."""
+    for block in blocks(g).blocks:
+        found = scan_block(block)
+        if isinstance(found, SubdivisionWitness):
+            return found
     return None
+
+
+def is_k33_free(g: Graph) -> bool:
+    """True when g has no K3,3-subdivision (equivalently no K3,3-minor)."""
+    return find_k33_subdivision(g) is None
 
 
 def _lift_through_augmentation(
@@ -318,8 +299,8 @@ def _lift_through_augmentation(
                 break
         if uses_ab:
             break
-    if uses_ab is None:
-        return inner  # witness avoided the artificial edge altogether
+    if uses_ab is None or g.has_edge(a, b):
+        return inner  # the witness uses no artificial edge
 
     pat = outer.pattern_graph()
     inv = {v: p for p, v in outer.corner_map.items()}
@@ -338,7 +319,7 @@ def _lift_through_augmentation(
         detour = p1 + p2[1:]  # a .. c .. b
         break
     if detour is None:
-        raise AssertionError("no detour corner available for witness lifting")
+        raise InternalError("no detour corner available for witness lifting")
 
     key, i = uses_ab
     path = inner.branch_paths[key]
@@ -347,5 +328,8 @@ def _lift_through_augmentation(
     new_paths = dict(inner.branch_paths)
     new_paths[key] = new_path
     lifted = SubdivisionWitness(inner.pattern, dict(inner.corner_map), new_paths)
-    lifted.validate(g)
+    try:
+        lifted.validate(g)
+    except ValueError as exc:
+        raise InternalError(f"lifted TK3,3 witness is invalid: {exc}") from exc
     return lifted

@@ -25,15 +25,13 @@ from .errors import (
     NoMSubdivisionError,
 )
 from .graphs import Graph, blocks
-from .planarity import find_k5_subdivision, is_planar
+from .planarity import is_planar
 from .structure import (
     SideComponent,
     SideDecomposition,
     decompose_by_corners,
-    find_k33_subdivision,
-    is_k33_free,
     is_special,
-    m_side_components,
+    scan_block,
 )
 from .subdivisions import (
     K5_PATTERN,
@@ -225,11 +223,11 @@ def _combine_tm(
     return tm
 
 
-def _decide_block(block: Graph) -> ToroidalityVerdict:
-    """Three-case decision for one 2-connected non-planar K3,3-free block;
-    certificate fields are relative to that block."""
-    tk5 = find_k5_subdivision(block)
-    dec = decompose_by_corners(block, tk5)
+def _decide_block(block: Graph, dec: SideDecomposition) -> ToroidalityVerdict:
+    """Three-case decision for one 2-connected non-planar K3,3-free block,
+    from the side decomposition of its TK5; certificate fields are relative
+    to that block."""
+    tk5 = dec.witness
     reports = tuple(_report(sc) for sc in dec.components)
     bad = [sc for sc, r in zip(dec.components, reports) if not r.augmented_planar]
     if not bad:
@@ -244,7 +242,8 @@ def _decide_block(block: Graph) -> ToroidalityVerdict:
         )
     f = bad[0]
     if is_planar(f.subgraph):
-        assert is_special(f)
+        # f is planar and f.augmented is not, so the corner edge is absent
+        # and f is special
         return ToroidalityVerdict(
             TOROIDAL,
             CASE_II,
@@ -262,7 +261,7 @@ def _decide_block(block: Graph) -> ToroidalityVerdict:
             components=reports,
             bad_components=(f.corners,),
         )
-    mdec = m_side_components(block, tm)
+    mdec = decompose_by_corners(block, tm)
     m_reports = tuple(_report(sc) for sc in mdec.components)
     m_bad = tuple(r.corners for r in m_reports if not r.augmented_planar)
     if not m_bad:
@@ -285,19 +284,32 @@ def _decide_block(block: Graph) -> ToroidalityVerdict:
     )
 
 
+def _scan_blocks(g: Graph) -> list[tuple[Graph, SideDecomposition | None]]:
+    """Each block of g with the side decomposition of its TK5, None for a
+    planar block.  Raises :class:`ClassViolationError` carrying a TK3,3 when
+    some block has one."""
+    scanned = []
+    for block in blocks(g).blocks:
+        found = scan_block(block)
+        if isinstance(found, SubdivisionWitness):
+            raise ClassViolationError(
+                "graph contains a K3,3-subdivision", witness=found
+            )
+        scanned.append((block, found))
+    return scanned
+
+
 def decide_toroidal(g: Graph) -> ToroidalityVerdict:
     """Decide torus embeddability of any graph with no K3,3's.
 
     Inputs containing a K3,3-subdivision are not decided: the verdict is
     NotInClass and carries the witness.
     """
-    if not is_k33_free(g):
-        witness = find_k33_subdivision(g)
-        return ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=witness)
-    decomposition = blocks(g)
-    nonplanar = tuple(
-        i for i, b in enumerate(decomposition.blocks) if not is_planar(b)
-    )
+    try:
+        scanned = _scan_blocks(g)
+    except ClassViolationError as exc:
+        return ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=exc.witness)
+    nonplanar = tuple(i for i, (_, dec) in enumerate(scanned) if dec is not None)
     if not nonplanar:
         return ToroidalityVerdict(TOROIDAL, CASE_ALL_PLANAR_BLOCKS)
     if len(nonplanar) >= 2:
@@ -305,7 +317,7 @@ def decide_toroidal(g: Graph) -> ToroidalityVerdict:
             NON_TOROIDAL, CASE_TWO_NONPLANAR_BLOCKS, nonplanar_blocks=nonplanar
         )
     index = nonplanar[0]
-    block_verdict = _decide_block(decomposition.blocks[index])
+    block_verdict = _decide_block(*scanned[index])
     return ToroidalityVerdict(
         block_verdict.status,
         block_verdict.case,
@@ -334,17 +346,13 @@ def genus_additivity_check(g: Graph) -> tuple[bool, tuple[BlockVerdict, ...]]:
 
     Raises :class:`ClassViolationError` on inputs containing a TK3,3.
     """
-    if not is_k33_free(g):
-        raise ClassViolationError(
-            "graph contains a K3,3-subdivision", witness=find_k33_subdivision(g)
-        )
     out = []
     nonplanar_toroidal = 0
     nontoroidal = 0
-    for i, b in enumerate(blocks(g).blocks):
-        if is_planar(b):
+    for i, (b, dec) in enumerate(_scan_blocks(g)):
+        if dec is None:
             kind = "planar"
-        elif _decide_block(b).is_toroidal:
+        elif _decide_block(b, dec).is_toroidal:
             kind = "toroidal-nonplanar"
             nonplanar_toroidal += 1
         else:
@@ -441,7 +449,7 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
         return
     _require(v.tm is not None and v.tm.pattern == M_PATTERN, "a TM witness")
     v.tm.validate(block)
-    mdec = m_side_components(block, v.tm)
+    mdec = decompose_by_corners(block, v.tm)
     _check_reports(mdec, v.m_components)
     m_bad = tuple(r.corners for r in v.m_components if not r.augmented_planar)
     if v.case == CASE_III:

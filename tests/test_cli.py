@@ -163,3 +163,18 @@ def test_decide_batch_survives_one_input_error(tmp_path, capsys):
     assert code == 1
     assert f"{path}:0: Toroidal Case-i" in out
     assert f"{path}:1: input error" in err
+
+
+def test_decide_graph6_batch_survives_unparsable_line(tmp_path, capsys):
+    path = tmp_path / "batch.g6"
+    path.write_text("DhC\nnot-graph6!!\n")
+    code, out, _ = run(capsys, "decide", str(path), "--format", "graph6", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert [p["input"] for p in payload] == [f"{path}:0", f"{path}:1"]
+    assert "status" in payload[0]
+    assert "error" in payload[1] and "status" not in payload[1]
+    code, out, err = run(capsys, "decide", str(path), "--format", "graph6")
+    assert code == 1
+    assert out.startswith(f"{path}:0: ")
+    assert f"{path}:1: input error" in err

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -7,6 +8,9 @@ from toroidal import (
     Graph,
     K33Found,
     SideComponent,
+    all_splits,
+    apply_split,
+    builtin,
     decompose_by_corners,
     find_k33_subdivision,
     find_k5_subdivision,
@@ -15,10 +19,20 @@ from toroidal import (
     is_k33_free,
     is_planar,
     is_special,
-    m_side_components,
 )
 
-from conftest import all_labeled_graphs, random_graph, subdivide_edge
+from conftest import all_labeled_graphs, atlas_graphs, random_graph, subdivide_edge
+
+
+def forbid_exhaustive_search(monkeypatch):
+    """Make every package reference to find_subdivision raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exhaustive subdivision search in the class check")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "toroidal" and hasattr(module, "find_subdivision"):
+            monkeypatch.setattr(module, "find_subdivision", refuse)
 
 
 def test_m_graph_structure(mgraph):
@@ -39,16 +53,55 @@ def test_k5_decomposition_has_ten_single_edge_components(k5):
     )
 
 
-def test_bridge_with_three_corners_raises_k33(k5):
-    g = Graph(list(k5.vertices) + [9], list(k5.edges) + [(9, 0), (9, 1), (9, 2)])
+# K5 on 0..4 with one extra path through vertex 9, one for each shape of a
+# bridge spanning three corners: a tripod off the TK5, and a path from the
+# inside of branch path 0-1 (subdivided by 5) to a corner, to the inside of
+# the branch path 0-2 that shares corner 0, and to the inside of the
+# disjoint branch path 2-3 (each subdivided by 6).
+BRIDGE_SHAPES = {
+    "tripod": ([], [(9, 0), (9, 1), (9, 2)]),
+    "corner": ([(0, 1)], [(5, 9), (9, 2)]),
+    "inside-shared-path": ([(0, 1), (0, 2)], [(5, 9), (9, 6)]),
+    "inside-disjoint-path": ([(0, 1), (2, 3)], [(5, 9), (9, 6)]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BRIDGE_SHAPES))
+def test_bridge_with_three_corners_raises_k33(k5, shape, monkeypatch):
+    subdivided, path = BRIDGE_SHAPES[shape]
+    tk5_host = k5
+    for u, v in subdivided:
+        tk5_host = subdivide_edge(tk5_host, u, v)
+    g = Graph(list(tk5_host.vertices) + [9], list(tk5_host.edges) + path)
+    tk5 = find_k5_subdivision(tk5_host)
+    forbid_exhaustive_search(monkeypatch)
     with pytest.raises(K33Found) as exc:
-        decompose_by_corners(g, find_subdivision(k5, "K5"))
+        decompose_by_corners(g, tk5)
     exc.value.witness.validate(g)
     assert exc.value.witness.pattern == "K3,3"
+    find_k33_subdivision(g).validate(g)
+
+
+def test_class_check_builds_every_k33_witness(monkeypatch):
+    # every atlas graph on up to 7 vertices and every first-level split of
+    # G1..G4: out-of-class ones get a witness with no exhaustive search
+    graphs = atlas_graphs(max_n=7)
+    for name in ("G1", "G2", "G3", "G4"):
+        g = builtin(name)
+        graphs += [apply_split(g, op) for op in all_splits(g)]
+    forbid_exhaustive_search(monkeypatch)
+    found = 0
+    for g in graphs:
+        w = find_k33_subdivision(g)
+        if w is not None:
+            assert w.pattern == "K3,3"
+            w.validate(g)
+            found += 1
+    assert found > 100
 
 
 def test_m_graph_side_components(mgraph):
-    dec = m_side_components(mgraph, find_subdivision(mgraph, "M"))
+    dec = decompose_by_corners(mgraph, find_subdivision(mgraph, "M"))
     assert len(dec.components) == 19
     assert all(sc.subgraph.m == 1 for sc in dec.components)
     assert dec.central_component.corners == (0, 1)
@@ -56,7 +109,7 @@ def test_m_graph_side_components(mgraph):
 
 def test_g4_central_component_is_k5_minus_edge(g4):
     w = find_subdivision(g4, "M")
-    dec = m_side_components(g4, w)
+    dec = decompose_by_corners(g4, w)
     central = dec.central_component
     assert central.subgraph.n == 5 and central.subgraph.m == 9
     assert not central.corner_edge_present
@@ -67,7 +120,7 @@ def test_g4_central_component_is_k5_minus_edge(g4):
 
 def test_m_with_subdivided_edge_gives_path_component(mgraph):
     g = subdivide_edge(mgraph, 2, 3)
-    dec = m_side_components(g, find_subdivision(g, "M"))
+    dec = decompose_by_corners(g, find_subdivision(g, "M"))
     sc = dec.component(2, 3)
     assert sc.subgraph.n == 3 and sc.subgraph.m == 2
 

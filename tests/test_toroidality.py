@@ -194,6 +194,28 @@ def test_genus_additivity_check_rejects_k33(k33):
         genus_additivity_check(k33)
 
 
+def test_one_extraction_per_block(monkeypatch):
+    # the class check and the decision share one Kuratowski extraction, so
+    # no graph is extracted from twice within one decision
+    from toroidal import planarity, structure
+
+    seen = []
+    original = planarity.kuratowski_witness
+
+    def recording(g):
+        seen.append(g)
+        return original(g)
+
+    monkeypatch.setattr(planarity, "kuratowski_witness", recording)
+    monkeypatch.setattr(structure, "kuratowski_witness", recording)
+    for i in range(1, 12):
+        g = builtin(f"G{i}")
+        for h in [g] + [g.delete_edge(*e) for e in g.edges]:
+            seen.clear()
+            decide_toroidal(h)
+            assert seen and len(set(seen)) == len(seen)
+
+
 def test_deletion_monotonicity_of_toroidality(mgraph, g4):
     for g in (mgraph, builtin("G3").delete_edge(0, 2)):
         assert decide_toroidal(g).is_toroidal

@@ -3,9 +3,9 @@ split enumeration, and the genus oracle.
 
 Exit codes: 0 = query answered (whatever the verdict), 1 = input error,
 2 = class violation (some input contains a K3,3), 3 = oracle budget
-refusal.  ``decide`` parses and decides graph by graph: an input error in
-one graph of a batch is reported for that graph and the rest go on; exit 1
-then takes precedence over exit 2.
+refusal.  ``decide`` and ``genus`` load and answer graph by graph: an input
+error or a budget refusal in one graph of a batch is reported for that graph
+and the rest go on; exit 1 then takes precedence over 3, and 3 over 2.
 """
 
 from __future__ import annotations
@@ -82,35 +82,55 @@ def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise GraphInputError(
+            f"{BUDGET_ENV} must be an integer, not {env!r}"
+        ) from None
+
+
+def _answer_each(
+    args, answer: Callable[[Graph], tuple[dict, str, int]]
+) -> int:
+    """Load and answer the input graphs one by one.  ``answer`` gives a
+    graph's JSON fields, its text line and its exit code; a graph that fails
+    to load, or that the oracle refuses, is reported alone and the rest go
+    on.  The batch exits 1 if any graph did, else 3, else 2, else 0."""
+    payloads = []
+    codes = set()
+    for label, load in _gather_inputs(args):
+        try:
+            fields, line, code = answer(load())
+        except (GraphInputError, GenusBudgetExceeded) as exc:
+            if isinstance(exc, GraphInputError):
+                kind, code = "input error", EXIT_INPUT
+            else:
+                kind, code = "budget refusal", EXIT_BUDGET
+            fields, line = {"error": str(exc)}, None
+            if not args.json:
+                print(f"{label}: {kind}: {exc}", file=sys.stderr)
+        codes.add(code)
+        if args.json:
+            payloads.append({"input": label, **fields})
+        elif line is not None:
+            print(f"{label}: {line}")
+    if args.json:
+        print(json.dumps(payloads, indent=2, sort_keys=True))
+    return next(
+        (c for c in (EXIT_INPUT, EXIT_BUDGET, EXIT_CLASS) if c in codes), EXIT_OK
+    )
 
 
 def cmd_decide(args) -> int:
-    graphs = _gather_inputs(args)
-    payloads = []
-    saw_input_error = False
-    saw_class_violation = False
-    for label, load in graphs:
-        try:
-            verdict = decide_toroidal(load())
-        except GraphInputError as exc:
-            saw_input_error = True
-            if args.json:
-                payloads.append({"input": label, "error": str(exc)})
-            else:
-                print(f"{label}: input error: {exc}", file=sys.stderr)
-            continue
-        if verdict.status == NOT_IN_CLASS:
-            saw_class_violation = True
-        if args.json:
-            payloads.append({"input": label, **verdict.to_payload()})
-        else:
-            print(f"{label}: {verdict.status} {verdict.case}")
-    if args.json:
-        print(json.dumps(payloads, indent=2, sort_keys=True))
-    if saw_input_error:
-        return EXIT_INPUT
-    return EXIT_CLASS if saw_class_violation else EXIT_OK
+    def answer(g: Graph) -> tuple[dict, str, int]:
+        verdict = decide_toroidal(g)
+        code = EXIT_CLASS if verdict.status == NOT_IN_CLASS else EXIT_OK
+        return verdict.to_payload(), f"{verdict.status} {verdict.case}", code
+
+    return _answer_each(args, answer)
 
 
 def cmd_verify_obstructions(args) -> int:
@@ -162,27 +182,17 @@ def cmd_splits(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    graphs = _gather_inputs(args)
     budget = _budget(args)
-    payloads = []
-    try:
-        for label, load in graphs:
-            g = load()
-            if args.count_torus:
-                value = count_torus_embeddings(g, budget=budget)
-                key = "torus_embeddings"
-            else:
-                value = min_genus_bruteforce(g, budget=budget)
-                key = "genus"
-            payloads.append({"input": label, key: value})
-            if not args.json:
-                print(f"{label}: {key} = {value}")
-    except GenusBudgetExceeded as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    if args.json:
-        print(json.dumps(payloads, indent=2, sort_keys=True))
-    return EXIT_OK
+    if args.count_torus:
+        oracle, key = count_torus_embeddings, "torus_embeddings"
+    else:
+        oracle, key = min_genus_bruteforce, "genus"
+
+    def answer(g: Graph) -> tuple[dict, str, int]:
+        value = oracle(g, budget=budget)
+        return {key: value}, f"{key} = {value}", EXIT_OK
+
+    return _answer_each(args, answer)
 
 
 def cmd_isomorphic(args) -> int:

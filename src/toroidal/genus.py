@@ -85,9 +85,7 @@ def trace_faces(g: Graph, rotation: dict[int, tuple[int, ...]]) -> RotationEmbed
             walk.append(dart[0])
             dart = succ[dart]
         faces.append(tuple(walk))
-    isolated = sum(1 for v in g.vertices if g.degree(v) == 0)
-    c = len(g.connected_components())
-    genus2 = 2 * c - (g.n - g.m + len(faces) + isolated)
+    genus2 = _genus0_faces(g) - len(faces)
     if genus2 < 0 or genus2 % 2:
         raise InternalError(f"face tracing gave twice the genus as {genus2}")
     return RotationEmbedding(g, dict(rotation), tuple(faces), genus2 // 2)
@@ -98,6 +96,14 @@ def rotation_space_size(g: Graph) -> int:
     for v in g.vertices:
         size *= math.factorial(max(g.degree(v) - 1, 0))
     return size
+
+
+def _genus0_faces(g: Graph) -> int:
+    """Faces of a genus-0 embedding of g by Euler's formula,
+    2c - (n - m + isolated); each unit of genus takes two faces away."""
+    c = len(g.connected_components())
+    isolated = sum(1 for v in g.vertices if g.degree(v) == 0)
+    return 2 * c - (g.n - g.m + isolated)
 
 
 def _count_faces(succ: list[int], ndarts: int) -> int:
@@ -116,45 +122,63 @@ def _count_faces(succ: list[int], ndarts: int) -> int:
 
 class _Enumerator:
     """Odometer over per-vertex rotations with incremental successor
-    updates.  Dart 2i / 2i+1 are the two directions of edge i."""
+    updates.  Dart 2i / 2i+1 are the two directions of edge i.
 
-    def __init__(self, g: Graph, halve: bool):
+    Refuses a space larger than ``budget`` on construction.  The tables
+    are built when the walk starts: min_genus_bruteforce's hill climb often
+    answers first, and one high-degree vertex's table can be large.  With
+    ``halve`` the first vertex of degree >= 3 keeps one of each mirror pair
+    of its rotations."""
+
+    def __init__(self, g: Graph, halve: bool, budget: int):
+        size = rotation_space_size(g)
+        if size > budget:
+            raise GenusBudgetExceeded(size, budget)
         self.g = g
+        self.halve = halve
+        self.genus0_faces = _genus0_faces(g)
+
+    def _build(self) -> None:
+        g = self.g
         edges = g.edges
         self.ndarts = 2 * len(edges)
         dart_id: dict[tuple[int, int], int] = {}
         for i, (u, v) in enumerate(edges):
             dart_id[(u, v)] = 2 * i
             dart_id[(v, u)] = 2 * i + 1
-        self.dart_id = dart_id
         self.vertices = sorted(g.vertices, key=lambda v: -g.degree(v))
+        self.orders: list[list[tuple[int, ...]]] = []
         self.updates: list[list[list[tuple[int, int]]]] = []
         halved = False
         for v in self.vertices:
             nbrs = g.neighbors(v)
             if not nbrs:
+                self.orders.append([()])
                 self.updates.append([[]])
                 continue
             first, rest = nbrs[0], nbrs[1:]
             perms = list(itertools.permutations(rest))
-            if halve and not halved and len(nbrs) >= 3:
+            if self.halve and not halved and len(nbrs) >= 3:
                 perms = [p for p in perms if p[0] < p[-1]]
                 halved = True
+            orders = [(first,) + p for p in perms]
             table = []
-            for p in perms:
-                order = (first,) + p
+            for order in orders:
                 entry = [
                     (dart_id[(order[i], v)], dart_id[(v, order[(i + 1) % len(order)])])
                     for i in range(len(order))
                 ]
                 table.append(entry)
+            self.orders.append(orders)
             self.updates.append(table)
 
     def enumerate_face_counts(self):
-        """Yield the face count of every rotation system in the space."""
+        """Yield the face count of every rotation system in the space;
+        while suspended, :meth:`rotation` rebuilds the system just yielded."""
+        self._build()
         succ = [0] * self.ndarts
         counts = [len(t) for t in self.updates]
-        idx = [0] * len(self.updates)
+        idx = self.idx = [0] * len(self.updates)
         for t in self.updates:
             for i, o in t[0]:
                 succ[i] = o
@@ -177,11 +201,11 @@ class _Enumerator:
             if k < 0:
                 return
 
-
-def _genus_from_faces(g: Graph, faces: int) -> int:
-    c = len(g.connected_components())
-    isolated = sum(1 for v in g.vertices if g.degree(v) == 0)
-    return (2 * c - (g.n - g.m + faces + isolated)) // 2
+    def rotation(self) -> dict[int, tuple[int, ...]]:
+        """The rotation system at the odometer's current position."""
+        return {
+            v: orders[i] for v, orders, i in zip(self.vertices, self.orders, self.idx)
+        }
 
 
 def min_genus_bruteforce(
@@ -194,13 +218,10 @@ def min_genus_bruteforce(
     short as soon as the running minimum reaches it, so the return value is
     only an upper bound that is <= ``stop_at`` (exact otherwise).
     """
-    size = rotation_space_size(g)
-    if size > budget:
-        raise GenusBudgetExceeded(size, budget)
+    sweep = _Enumerator(g, halve=True, budget=budget)
     if g.m == 0:
         return 0
     # a cheap hill climb often hits the minimum and arms the early exit
-    best = math.inf
     climbed = hill_climb_genus(
         g,
         target=stop_at,
@@ -208,31 +229,25 @@ def min_genus_bruteforce(
         restarts=8 if stop_at >= 1 else 3,
         steps=1200,
     )
-    if climbed is not None:
-        best = climbed.euler_genus
-        if best <= stop_at:
-            return best
-    c = len(g.connected_components())
-    isolated = sum(1 for v in g.vertices if g.degree(v) == 0)
-    base = 2 * c - (g.n - g.m + isolated)
+    if climbed is not None and climbed.euler_genus <= stop_at:
+        return climbed.euler_genus
+    base = sweep.genus0_faces
     stop_faces = base - 2 * stop_at  # faces needed for genus <= stop_at
-    best_faces = base - 2 * best if best is not math.inf else -1
-    for faces in _Enumerator(g, halve=True).enumerate_face_counts():
+    best_faces = base - 2 * climbed.euler_genus if climbed is not None else -1
+    for faces in sweep.enumerate_face_counts():
         if faces > best_faces:
             best_faces = faces
             if faces >= stop_faces:
                 break
-    return _genus_from_faces(g, best_faces)
+    return (base - best_faces) // 2
 
 
 def genus_distribution(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Number of rotation systems per genus (no symmetry reduction)."""
-    size = rotation_space_size(g)
-    if size > budget:
-        raise GenusBudgetExceeded(size, budget)
+    sweep = _Enumerator(g, halve=False, budget=budget)
     dist: dict[int, int] = {}
-    for faces in _Enumerator(g, halve=False).enumerate_face_counts():
-        genus = _genus_from_faces(g, faces)
+    for faces in sweep.enumerate_face_counts():
+        genus = (sweep.genus0_faces - faces) // 2
         dist[genus] = dist.get(genus, 0) + 1
     return dist
 
@@ -251,31 +266,15 @@ def _rotation_key(g: Graph, rotation: dict[int, tuple[int, ...]]) -> tuple:
 def count_torus_embeddings(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Number of genus-1 rotation systems up to graph automorphisms and
     global orientation reversal."""
-    size = rotation_space_size(g)
-    if size > budget:
-        raise GenusBudgetExceeded(size, budget)
+    # not halved: bench/run.py's rotations_visited counts the full space here
+    sweep = _Enumerator(g, halve=False, budget=budget)
+    target_faces = sweep.genus0_faces - 2  # faces at genus exactly 1
+    remaining = {  # genus-1 systems whose orbit is not counted yet
+        _rotation_key(g, sweep.rotation())
+        for faces in sweep.enumerate_face_counts()
+        if faces == target_faces
+    }
     verts = g.vertices
-    nbrs = {v: g.neighbors(v) for v in verts}
-    genus1: set[tuple] = set()
-    c = len(g.connected_components())
-    isolated = sum(1 for v in verts if g.degree(v) == 0)
-    target_faces = 2 * c - (g.n - g.m + isolated) - 2  # faces at genus exactly 1
-
-    choices = []
-    for v in verts:
-        ns = nbrs[v]
-        if not ns:
-            choices.append([()])
-        else:
-            choices.append(
-                [(ns[0],) + p for p in itertools.permutations(ns[1:])]
-            )
-    for combo in itertools.product(*choices):
-        rotation = dict(zip(verts, combo))
-        emb = trace_faces(g, rotation)
-        if len(emb.faces) == target_faces:
-            genus1.add(_rotation_key(g, rotation))
-
     auts = automorphisms(g)
     vindex = {v: i for i, v in enumerate(verts)}
 
@@ -288,7 +287,6 @@ def count_torus_embeddings(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
             out[vindex[sigma[v]]] = _normalize_cyclic(order)
         return tuple(out)
 
-    remaining = set(genus1)
     orbits = 0
     while remaining:
         rep = remaining.pop()
@@ -314,9 +312,7 @@ def hill_climb_genus(
     if g.m == 0:
         return trace_faces(g, {v: () for v in g.vertices})
     rng = random.Random(seed)
-    c = len(g.connected_components())
-    isolated = sum(1 for v in g.vertices if g.degree(v) == 0)
-    want_faces = 2 * c - (g.n - g.m + isolated) - 2 * target
+    want_faces = _genus0_faces(g) - 2 * target
     big = [v for v in g.vertices if g.degree(v) >= 3]
 
     def faces_of(rot):

@@ -92,10 +92,6 @@ class Graph:
     # -- construction ----------------------------------------------------
 
     @staticmethod
-    def from_edges(edges, vertices=()) -> Graph:
-        return Graph(vertices, edges)
-
-    @staticmethod
     def complete(n: int) -> Graph:
         return Graph(range(n), itertools.combinations(range(n), 2))
 
@@ -146,14 +142,6 @@ class Graph:
             if a2 != b2:
                 edges.add(_norm_edge(a2, b2))
         return Graph((w for w in self._vertices if w != v), edges)
-
-    def delete_vertex(self, v: int) -> Graph:
-        if v not in self._adj:
-            raise GraphInputError(f"unknown vertex {v}")
-        return Graph(
-            (w for w in self._vertices if w != v),
-            (e for e in self._edges if v not in e),
-        )
 
     def induced_subgraph(self, vertices) -> Graph:
         vs = set(vertices)

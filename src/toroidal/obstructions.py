@@ -99,23 +99,14 @@ def builtin(name: str) -> Graph:
 # -- minimality verification -------------------------------------------------
 
 
-def _deletion_outcomes(g: Graph):
-    for e in g.edges:
-        yield e, decide_toroidal(g.delete_edge(*e)).status
-
-
-def _contraction_outcomes(g: Graph):
-    for e in g.edges:
-        yield e, decide_toroidal(g.contract_edge(*e)).status
-
-
 def verify_topological_obstruction(g: Graph) -> dict:
     """Report on: minimum degree 3, non-toroidal, and every single-edge
     deletion toroidal.  NotInClass anywhere marks the report failed."""
     min_degree_ok = bool(g.vertices) and min(g.degree(v) for v in g.vertices) >= 3
     status = decide_toroidal(g).status
     deletions = [
-        {"edge": list(e), "status": s} for e, s in _deletion_outcomes(g)
+        {"edge": list(e), "status": decide_toroidal(g.delete_edge(*e)).status}
+        for e in g.edges
     ]
     not_in_class = status == NOT_IN_CLASS or any(
         d["status"] == NOT_IN_CLASS for d in deletions
@@ -140,7 +131,8 @@ def verify_minor_obstruction(g: Graph) -> dict:
     contraction must also be toroidal."""
     report = verify_topological_obstruction(g)
     contractions = [
-        {"edge": list(e), "status": s} for e, s in _contraction_outcomes(g)
+        {"edge": list(e), "status": decide_toroidal(g.contract_edge(*e)).status}
+        for e in g.edges
     ]
     report["contractions"] = contractions
     report["not_in_class"] = report["not_in_class"] or any(

@@ -44,7 +44,6 @@ class SideComponent:
     pattern_edge: tuple[int, int]
     subgraph: Graph
     augmented: Graph
-    bridges: tuple[BridgeOf, ...]
 
     @property
     def corner_edge_present(self) -> bool:
@@ -230,7 +229,6 @@ def decompose_by_corners(g: Graph, w: SubdivisionWitness) -> SideDecomposition:
                 pattern_edge=pe,
                 subgraph=sub,
                 augmented=sub.add_edge(a, b),
-                bridges=tuple(brs),
             )
         )
     if groups:

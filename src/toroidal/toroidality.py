@@ -15,7 +15,7 @@ subdivision modules.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     CertificateError,
@@ -318,18 +318,7 @@ def decide_toroidal(g: Graph) -> ToroidalityVerdict:
         )
     index = nonplanar[0]
     block_verdict = _decide_block(*scanned[index])
-    return ToroidalityVerdict(
-        block_verdict.status,
-        block_verdict.case,
-        block_index=index,
-        nonplanar_blocks=nonplanar,
-        tk5=block_verdict.tk5,
-        components=block_verdict.components,
-        bad_components=block_verdict.bad_components,
-        special_corners=block_verdict.special_corners,
-        tm=block_verdict.tm,
-        m_components=block_verdict.m_components,
-    )
+    return replace(block_verdict, block_index=index, nonplanar_blocks=nonplanar)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ import pytest
 
 from toroidal import Graph, builtin, m_graph
 
+PETERSEN = Graph(
+    range(10),
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6), (6, 8),
+     (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
+)
+
 
 @pytest.fixture(scope="session")
 def k4():

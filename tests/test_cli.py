@@ -112,6 +112,47 @@ def test_genus_budget_env_override(capsys, monkeypatch):
     assert code == 3
 
 
+def test_genus_budget_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("TOROIDAL_GENUS_BUDGET", "abc")
+    code, out, err = run(capsys, "genus", "--name", "K5")
+    assert code == 1 and out == ""
+    assert "input error" in err and "TOROIDAL_GENUS_BUDGET" in err
+
+
+def test_genus_batch_survives_budget_refusal(tmp_path, capsys):
+    # K4, then K8: the latter's 6!**8 rotation systems exceed the budget
+    path = tmp_path / "batch.g6"
+    path.write_text("C~\nG~~~~{\n")
+    argv = ("genus", str(path), "--format", "graph6", "--budget", "100000")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload[0] == {"input": f"{path}:0", "genus": 0}
+    assert payload[1]["input"] == f"{path}:1" and "budget" in payload[1]["error"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == f"{path}:0: genus = 0\n"
+    assert f"{path}:1: budget refusal" in err
+
+
+def test_genus_batch_survives_unparsable_line(tmp_path, capsys):
+    path = tmp_path / "batch.g6"
+    path.write_text("DhC\nnot-graph6!!\nC~\n")
+    # M is refused against the budget; the unparsable line outranks it
+    argv = ("genus", "--name", "M", str(path), "--format", "graph6")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert [p["input"] for p in payload] == ["M"] + [f"{path}:{i}" for i in range(3)]
+    assert "budget" in payload[0]["error"]
+    assert payload[1]["genus"] == 0 and payload[3]["genus"] == 0
+    assert "error" in payload[2] and "genus" not in payload[2]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == f"{path}:0: genus = 0\n{path}:2: genus = 0\n"
+    assert "M: budget refusal" in err and f"{path}:1: input error" in err
+
+
 def test_isomorphic_names(capsys):
     code, out, _ = run(capsys, "isomorphic", "K5", "K5")
     assert code == 0 and out.strip() == "true"

@@ -17,7 +17,7 @@ from toroidal import (
     trace_faces,
 )
 
-from conftest import random_graph
+from conftest import PETERSEN, random_graph
 
 
 def random_rotation(g, rng):
@@ -90,8 +90,12 @@ def test_k5_has_six_torus_embeddings(k5):
 
 
 def test_k4_torus_embedding_classes(k4):
-    # no paper value: frozen from this exhaustive enumeration
+    # no paper values: frozen from the exhaustive enumeration that ran a
+    # full trace_faces on every rotation system
     assert count_torus_embeddings(k4) == 2
+    assert count_torus_embeddings(Graph.complete_bipartite(3, 3)) == 2
+    assert count_torus_embeddings(Graph.complete_bipartite(3, 4)) == 3
+    assert count_torus_embeddings(PETERSEN) == 1
 
 
 def test_triangle_has_no_torus_embedding():

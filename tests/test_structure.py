@@ -146,20 +146,20 @@ def test_decomposition_partitions_host_edges(k5, mgraph, g4):
 
 def test_is_special_on_k5_minus_edge(k5):
     sub = k5.delete_edge(0, 1)
-    sc = SideComponent((0, 1), (0, 1), sub, sub.add_edge(0, 1), ())
+    sc = SideComponent((0, 1), (0, 1), sub, sub.add_edge(0, 1))
     assert is_special(sc)
 
 
 def test_is_special_rejects_present_edge_and_planar_augmentation():
     edge = Graph((), [(0, 1)])
-    assert not is_special(SideComponent((0, 1), (0, 1), edge, edge, ()))
+    assert not is_special(SideComponent((0, 1), (0, 1), edge, edge))
     p = Graph((), [(0, 9), (9, 1)])
-    assert not is_special(SideComponent((0, 1), (0, 1), p, p.add_edge(0, 1), ()))
+    assert not is_special(SideComponent((0, 1), (0, 1), p, p.add_edge(0, 1)))
 
 
 def test_special_component_augmentation_has_tk5_through_corners(k5):
     sub = k5.delete_edge(0, 1)
-    sc = SideComponent((0, 1), (0, 1), sub, sub.add_edge(0, 1), ())
+    sc = SideComponent((0, 1), (0, 1), sub, sub.add_edge(0, 1))
     assert is_special(sc)
     w = find_subdivision(sc.augmented, "K5", require_corners={0: 0, 1: 1})
     assert w is not None and {0, 1} <= set(w.corners)

@@ -13,13 +13,7 @@ from toroidal import (
     pattern_graph,
 )
 
-from conftest import all_labeled_graphs, random_graph, subdivide_edge
-
-PETERSEN = Graph(
-    range(10),
-    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6), (6, 8),
-     (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
-)
+from conftest import PETERSEN, all_labeled_graphs, random_graph, subdivide_edge
 
 
 def test_pattern_graphs():

@@ -8,6 +8,7 @@ class, and a brute-force rotation-system genus oracle for validation.
 """
 
 from .errors import (
+    BudgetExceeded,
     CertificateError,
     ClassViolationError,
     GenusBudgetExceeded,
@@ -15,6 +16,7 @@ from .errors import (
     InternalError,
     K33Found,
     NoMSubdivisionError,
+    SearchBudgetExceeded,
 )
 from .genus import (
     DEFAULT_BUDGET,

@@ -2,10 +2,12 @@
 split enumeration, and the genus oracle.
 
 Exit codes: 0 = query answered (whatever the verdict), 1 = input error,
-2 = class violation (some input contains a K3,3), 3 = oracle budget
-refusal.  ``decide`` and ``genus`` load and answer graph by graph: an input
-error or a budget refusal in one graph of a batch is reported for that graph
-and the rest go on; exit 1 then takes precedence over 3, and 3 over 2.
+2 = class violation (some input contains a K3,3), 3 = budget refusal: the
+genus oracle's rotation budget, or the subdivision search's step budget
+behind ``decide``, ``verify-obstructions`` and ``splits``.  ``decide`` and
+``genus`` load and answer graph by graph: an input error or a budget refusal
+in one graph of a batch is reported for that graph and the rest go on; exit
+1 then takes precedence over 3, and 3 over 2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from collections.abc import Callable
 from functools import partial
 
-from .errors import GenusBudgetExceeded, GraphInputError
+from .errors import BudgetExceeded, GraphInputError
 from .genus import DEFAULT_BUDGET, count_torus_embeddings, min_genus_bruteforce
 from .graphs import Graph, from_edge_list_text, from_graph6, to_graph6
 from .isomorphism import is_isomorphic
@@ -104,7 +106,7 @@ def _answer_each(
     for label, load in _gather_inputs(args):
         try:
             fields, line, code = answer(load())
-        except (GraphInputError, GenusBudgetExceeded) as exc:
+        except (GraphInputError, BudgetExceeded) as exc:
             if isinstance(exc, GraphInputError):
                 kind, code = "input error", EXIT_INPUT
             else:
@@ -274,6 +276,9 @@ def main(argv=None) -> int:
     except GraphInputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BudgetExceeded as exc:
+        print(f"budget refusal: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -36,7 +36,12 @@ class NoMSubdivisionError(Exception):
     """No M-graph subdivision exists where the decision procedure needs one."""
 
 
-class GenusBudgetExceeded(Exception):
+class BudgetExceeded(Exception):
+    """An exact search refused because its work passed a fixed budget: a
+    limit of the search, never a fault of the input or a verdict."""
+
+
+class GenusBudgetExceeded(BudgetExceeded):
     """The rotation-system search space exceeds the configured budget.
 
     The oracle refuses rather than sampling; ``required`` is the number of
@@ -48,4 +53,13 @@ class GenusBudgetExceeded(Exception):
             f"rotation enumeration needs {required} systems, budget is {budget}"
         )
         self.required = required
+        self.budget = budget
+
+
+class SearchBudgetExceeded(BudgetExceeded):
+    """A subdivision search stepped onto more path vertices than its budget
+    allows; ``budget`` is that limit."""
+
+    def __init__(self, budget):
+        super().__init__(f"subdivision search passed its budget of {budget} path steps")
         self.budget = budget

@@ -1,9 +1,11 @@
 """Subdivision and minor containment by exhaustive backtracking.
 
-These searches are complete on the desk-scale graphs this package targets
-(around 16 vertices).  ``find_subdivision`` models a pattern graph inside a
-host via an injective corner map plus internally disjoint branch paths;
-``find_minor`` searches for disjoint connected branch sets.
+``find_subdivision`` models a pattern graph inside a host via an injective
+corner map plus internally disjoint branch paths.  It routes one pattern
+edge at a time and backtracks as soon as the corners of an edge still to
+route are cut off from each other, so it skips only dead branches; it
+refuses with :class:`SearchBudgetExceeded` past ``SEARCH_BUDGET`` path
+steps.  ``find_minor`` searches for disjoint connected branch sets.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import GraphInputError
+from .errors import GraphInputError, SearchBudgetExceeded
 from .graphs import Graph, _norm_edge
 from .isomorphism import automorphisms
 
@@ -20,6 +22,11 @@ from .isomorphism import automorphisms
 K5_PATTERN = "K5"
 K33_PATTERN = "K3,3"
 M_PATTERN = "M"
+
+# path-search steps one find_subdivision call may take; the most that one
+# call took over the benchmark corpora and 41-vertex G3/G4 clique sums was
+# about 5.4e4 steps, half a second
+SEARCH_BUDGET = 10_000_000
 
 
 def pattern_graph(name: str) -> Graph:
@@ -137,6 +144,8 @@ def find_subdivision(
 
     ``h`` is a pattern name or a graph with minimum degree >= 3.
     ``require_corners`` pins chosen pattern vertices to host vertices.
+    Raises :class:`SearchBudgetExceeded` when the path search passes
+    ``SEARCH_BUDGET`` steps.
     """
     name = h if isinstance(h, str) else None
     pat = pattern_graph(h) if isinstance(h, str) else h
@@ -173,43 +182,83 @@ def find_subdivision(
             if v not in taken and g.degree(v) >= pat.degree(p):
                 yield v
 
+    # each vertex's neighbours in search order, highest degree first
+    nbr_order = {
+        v: sorted(g.neighbors(v), key=lambda w: (-g.degree(w), w)) for v in g.vertices
+    }
+    edges = sorted(pat.edges)
+    steps = 0
+
     def route_all(corner_of: dict[int, int]) -> dict | None:
         corners = set(corner_of.values())
-        edges = sorted(pat.edges)
+        ends = [(corner_of[p], corner_of[q]) for p, q in edges]
         paths: dict[tuple[int, int], tuple[int, ...]] = {}
         used: set[int] = set()
 
         def paths_between(a: int, b: int):
-            """DFS over simple a-b paths avoiding corners and used internals."""
-            target_first = sorted(
-                g.neighbors(a), key=lambda w: (w != b, -g.degree(w), w)
-            )
-            stack = [(a, iter(target_first), [a])]
-            onpath = {a}
+            """DFS over simple a-b paths avoiding corners and used internals;
+            at each vertex the step straight to b comes first."""
+            nonlocal steps
+            next_to_b = set(g.neighbors(b))
+            if a in next_to_b:
+                yield (a, b)
+            path = [a]
+            onpath: set[int] = set()
+            stack = [iter(nbr_order[a])]
             while stack:
-                v, it, path = stack[-1]
-                advanced = False
-                for w in it:
-                    if w == b:
-                        yield tuple(path + [b])
-                        continue
+                for w in stack[-1]:
                     if w in onpath or w in used or w in corners:
                         continue
-                    nxt = sorted(g.neighbors(w), key=lambda x: (x != b, -g.degree(x), x))
-                    stack.append((w, iter(nxt), path + [w]))
+                    steps += 1
+                    if steps > SEARCH_BUDGET:
+                        raise SearchBudgetExceeded(SEARCH_BUDGET)
+                    path.append(w)
                     onpath.add(w)
-                    advanced = True
+                    stack.append(iter(nbr_order[w]))
+                    if w in next_to_b:
+                        yield (*path, b)
                     break
-                if not advanced:
+                else:
                     stack.pop()
-                    onpath.discard(v)
+                    onpath.discard(path.pop())
+
+        def joinable(i: int) -> bool:
+            """Whether the corners of each pattern edge from i on are still
+            joined by an edge or through vertices neither corners nor used."""
+            component: dict[int, int] = {}
+            touched: dict[int, set[int]] = {}
+
+            def touches(c: int) -> set[int]:
+                # labels of the free components next to corner c
+                if c in touched:
+                    return touched[c]
+                out = touched[c] = set()
+                for w in g.neighbors(c):
+                    if w in corners or w in used:
+                        continue
+                    if w not in component:
+                        component[w] = w
+                        stack = [w]
+                        while stack:
+                            for y in g.neighbors(stack.pop()):
+                                if not (y in component or y in corners or y in used):
+                                    component[y] = w
+                                    stack.append(y)
+                    out.add(component[w])
+                return out
+
+            return all(
+                g.has_edge(a, b) or not touches(a).isdisjoint(touches(b))
+                for a, b in ends[i:]
+            )
 
         def route(i: int) -> bool:
             if i == len(edges):
                 return True
+            if not joinable(i):
+                return False
             p, q = edges[i]
-            a, b = corner_of[p], corner_of[q]
-            for path in paths_between(a, b):
+            for path in paths_between(*ends[i]):
                 internal = path[1:-1]
                 paths[(p, q)] = path
                 used.update(internal)

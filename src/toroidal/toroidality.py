@@ -150,7 +150,8 @@ def build_m_subdivision(
     non-planar side component ``f`` into an M-subdivision whose central
     path joins f's corners; falls back to an exhaustive TM search in g.
 
-    Raises :class:`NoMSubdivisionError` when g has no M-subdivision at all.
+    Raises :class:`NoMSubdivisionError` when g has no M-subdivision at all,
+    and :class:`SearchBudgetExceeded` when either search passes its budget.
     """
     if is_planar(f.subgraph):
         raise GraphInputError(
@@ -162,8 +163,6 @@ def build_m_subdivision(
         combined = _combine_tm(g, w, inner, a, b)
         if combined is not None:
             return combined
-    if g.n > 16:
-        raise GraphInputError("exhaustive TM search capped at 16 vertices")
     tm = find_subdivision(g, M_PATTERN)
     if tm is None:
         raise NoMSubdivisionError(f"no M-subdivision in host with {g.n} vertices")

@@ -77,3 +77,16 @@ def two_k5s_shared_vertex() -> Graph:
         range(9),
         list(k5.edges) + [tuple(sorted((shift(a), shift(b)))) for a, b in k5.edges],
     )
+
+
+def g3_with_k4s() -> Graph:
+    """G3 with a K4 2-summed onto each of its first five edges: one
+    19-vertex K3,3-free block that contains G3, so it is non-toroidal."""
+    g3 = builtin("G3")
+    edges = list(g3.edges)
+    n = g3.n
+    for u, v in g3.edges[:5]:
+        a, b = n, n + 1
+        n += 2
+        edges += [(u, a), (u, b), (v, a), (v, b), (a, b)]
+    return Graph(range(n), edges)

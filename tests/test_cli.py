@@ -1,7 +1,11 @@
 import json
 
-from toroidal import Graph, to_edge_list_text, to_graph6
+import pytest
+
+from toroidal import Graph, decide_toroidal, to_edge_list_text, to_graph6
 from toroidal.cli import main
+
+from conftest import g3_with_k4s
 
 
 def run(capsys, *argv):
@@ -176,34 +180,64 @@ def test_stdin_input(capsys, monkeypatch):
 
 
 def test_decide_batch_survives_one_input_error(tmp_path, capsys):
-    # G3 with a K4 2-summed onto each of five edges: one 19-vertex block
-    # that reaches the capped exhaustive TM search and is refused as an
-    # input error; the K5 before it must still get its verdict.
-    from toroidal import builtin
-
-    g3 = builtin("G3")
-    edges = list(g3.edges)
-    n = g3.n
-    for u, v in g3.edges[:5]:
-        a, b = n, n + 1
-        n += 2
-        edges += [(u, a), (u, b), (v, a), (v, b), (a, b)]
-    grown = Graph(range(n), edges)
-    assert grown.n == 19
+    # the second edge-list chunk has a self-loop; the K5 before it must
+    # still get its verdict
     path = tmp_path / "batch.txt"
-    path.write_text(
-        to_edge_list_text(Graph.complete(5)) + "\n" + to_edge_list_text(grown)
-    )
+    path.write_text(to_edge_list_text(Graph.complete(5)) + "\n3 2\n0 0\n1 2\n")
     code, out, err = run(capsys, "decide", str(path), "--json")
     assert code == 1
     payload = json.loads(out)
     assert [p["input"] for p in payload] == [f"{path}:0", f"{path}:1"]
     assert payload[0]["status"] == "Toroidal"
-    assert "error" in payload[1] and "status" not in payload[1]
+    assert "self-loop" in payload[1]["error"] and "status" not in payload[1]
     code, out, err = run(capsys, "decide", str(path))
     assert code == 1
     assert f"{path}:0: Toroidal Case-i" in out
     assert f"{path}:1: input error" in err
+
+
+def _k5_then_g3_with_k4s(tmp_path):
+    path = tmp_path / "batch.txt"
+    path.write_text(
+        to_edge_list_text(Graph.complete(5)) + "\n" + to_edge_list_text(g3_with_k4s())
+    )
+    return path
+
+
+def test_decide_batch_past_sixteen_vertices(tmp_path, capsys):
+    path = _k5_then_g3_with_k4s(tmp_path)
+    code, out, _ = run(capsys, "decide", str(path))
+    assert code == 0
+    assert out == f"{path}:0: Toroidal Case-i\n{path}:1: NonToroidal NoValidM\n"
+
+
+def test_decide_batch_survives_search_budget_refusal(tmp_path, capsys, monkeypatch):
+    from toroidal import subdivisions
+
+    monkeypatch.setattr(subdivisions, "SEARCH_BUDGET", 100)
+    path = _k5_then_g3_with_k4s(tmp_path)
+    code, out, _ = run(capsys, "decide", str(path), "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload[0] == {"input": f"{path}:0", **decide_toroidal(Graph.complete(5)).to_payload()}
+    assert payload[1]["input"] == f"{path}:1" and "budget" in payload[1]["error"]
+    assert "status" not in payload[1]
+    code, out, err = run(capsys, "decide", str(path))
+    assert code == 3
+    assert out == f"{path}:0: Toroidal Case-i\n"
+    assert f"{path}:1: budget refusal" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify-obstructions", "--kind", "minor"), ("splits", "--seeds", "G4")],
+)
+def test_search_budget_refusal_exit_three(capsys, monkeypatch, argv):
+    from toroidal import subdivisions
+
+    monkeypatch.setattr(subdivisions, "SEARCH_BUDGET", 0)
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and err.startswith("budget refusal: ")
 
 
 def test_decide_graph6_batch_survives_unparsable_line(tmp_path, capsys):

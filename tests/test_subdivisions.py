@@ -1,15 +1,18 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from toroidal import (
     Graph,
     GraphInputError,
+    builtin,
     find_minor,
     find_subdivision,
     has_minor,
     has_subdivision,
+    is_k33_free,
     pattern_graph,
 )
 
@@ -108,6 +111,42 @@ def test_minor_equals_subdivision_for_cubic_patterns_atlas():
             assert has_minor(g, k4) == has_subdivision(g, k4)
         if g.m >= 9:
             assert has_minor(g, k33) == has_subdivision(g, k33)
+
+
+def _check_k5_search_is_complete(g):
+    # in a K3,3-free graph, non-planar means a TK5 exists (Kuratowski)
+    w = find_subdivision(g, "K5")
+    nonplanar = not nx.check_planarity(nx.Graph(list(g.edges)))[0]
+    assert (w is not None) == nonplanar
+    if w is not None:
+        w.validate(g)
+        pins = {0: w.corner_map[0], 1: w.corner_map[1]}
+        pinned = find_subdivision(g, "K5", require_corners=pins)
+        assert pinned is not None
+        assert all(pinned.corner_map[p] == v for p, v in pins.items())
+        pinned.validate(g)
+    return nonplanar
+
+
+def test_k5_subdivision_search_is_complete_atlas():
+    # the connectivity pruning skips only branches that cannot succeed: on
+    # every K3,3-free graph with up to 7 vertices a TK5 is found exactly
+    # where networkx finds the graph non-planar
+    from conftest import atlas_graphs
+
+    found = sum(
+        _check_k5_search_is_complete(g) for g in atlas_graphs(max_n=7) if is_k33_free(g)
+    )
+    assert found > 0
+
+
+def test_k5_subdivision_search_is_complete_on_obstruction_deletions():
+    found = 0
+    for i in range(1, 12):
+        g = builtin(f"G{i}")
+        for e in g.edges:
+            found += _check_k5_search_is_complete(g.delete_edge(*e))
+    assert found > 0
 
 
 def test_minor_monotone_under_supergraph():

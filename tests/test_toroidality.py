@@ -6,6 +6,7 @@ from toroidal import (
     ClassViolationError,
     Graph,
     GraphInputError,
+    SearchBudgetExceeded,
     builtin,
     build_m_subdivision,
     decide_toroidal,
@@ -31,7 +32,7 @@ from toroidal.toroidality import (
     TOROIDAL,
 )
 
-from conftest import random_graph, two_k5s_shared_vertex
+from conftest import g3_with_k4s, random_graph, two_k5s_shared_vertex
 
 
 def check(g, status, case=None):
@@ -154,6 +155,29 @@ def test_g3_yields_no_valid_m():
     g3 = builtin("G3")
     v = check(g3, NON_TOROIDAL, CASE_NO_VALID_M)
     assert find_subdivision(g3, "M") is None
+
+
+def test_no_vertex_cap_on_the_tm_search():
+    # one 19-vertex block whose single non-planar side component holds no
+    # pinned TK5 that combines into a TM, so the exhaustive TM search runs
+    g = g3_with_k4s()
+    assert g.n == 19
+    v = check(g, NON_TOROIDAL, CASE_NO_VALID_M)
+    assert verify_certificate(g, v)
+
+
+def test_tm_search_refuses_past_its_budget(monkeypatch):
+    from toroidal import subdivisions
+
+    g = g3_with_k4s()
+    v = decide_toroidal(g)
+    monkeypatch.setattr(subdivisions, "SEARCH_BUDGET", 100)
+    with pytest.raises(SearchBudgetExceeded) as refused:
+        decide_toroidal(g)
+    assert not isinstance(refused.value, GraphInputError)
+    # replay repeats the exhaustive TM search: a refusal, not a False
+    with pytest.raises(SearchBudgetExceeded):
+        verify_certificate(g, v)
 
 
 def test_build_m_subdivision_on_m_graph(mgraph):

@@ -15,7 +15,6 @@ from .errors import (
     GraphInputError,
     InternalError,
     K33Found,
-    NoMSubdivisionError,
     SearchBudgetExceeded,
 )
 from .genus import (
@@ -87,7 +86,6 @@ from .toroidality import (
     ToroidalityVerdict,
     build_m_subdivision,
     decide_toroidal,
-    genus_additivity_check,
     verify_certificate,
 )
 

@@ -32,10 +32,6 @@ class InternalError(RuntimeError):
     package, never a fault of the input."""
 
 
-class NoMSubdivisionError(Exception):
-    """No M-graph subdivision exists where the decision procedure needs one."""
-
-
 class BudgetExceeded(Exception):
     """An exact search refused because its work passed a fixed budget: a
     limit of the search, never a fault of the input or a verdict."""

@@ -67,6 +67,15 @@ def _check_rotation(g: Graph, rotation: dict[int, tuple[int, ...]]) -> None:
 def trace_faces(g: Graph, rotation: dict[int, tuple[int, ...]]) -> RotationEmbedding:
     """Trace the faces of the embedding given by ``rotation``."""
     _check_rotation(g, rotation)
+    faces = _walk_faces(rotation)
+    genus2 = _genus0_faces(g) - len(faces)
+    if genus2 < 0 or genus2 % 2:
+        raise InternalError(f"face tracing gave twice the genus as {genus2}")
+    return RotationEmbedding(g, dict(rotation), tuple(faces), genus2 // 2)
+
+
+def _walk_faces(rotation: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The face walks of a rotation system, which is taken as valid."""
     succ: dict[tuple[int, int], tuple[int, int]] = {}
     for v, order in rotation.items():
         d = len(order)
@@ -85,10 +94,7 @@ def trace_faces(g: Graph, rotation: dict[int, tuple[int, ...]]) -> RotationEmbed
             walk.append(dart[0])
             dart = succ[dart]
         faces.append(tuple(walk))
-    genus2 = _genus0_faces(g) - len(faces)
-    if genus2 < 0 or genus2 % 2:
-        raise InternalError(f"face tracing gave twice the genus as {genus2}")
-    return RotationEmbedding(g, dict(rotation), tuple(faces), genus2 // 2)
+    return faces
 
 
 def rotation_space_size(g: Graph) -> int:
@@ -315,19 +321,13 @@ def hill_climb_genus(
     want_faces = _genus0_faces(g) - 2 * target
     big = [v for v in g.vertices if g.degree(v) >= 3]
 
-    def faces_of(rot):
-        return len(trace_faces(g, rot).faces)
-
-    best_emb = None
     for _ in range(max(restarts, 1)):
         rot = {}
         for v in g.vertices:
             ns = list(g.neighbors(v))
             rng.shuffle(ns)
             rot[v] = tuple(ns)
-        cur = faces_of(rot)
-        if best_emb is None or cur > len(best_emb.faces):
-            best_emb = trace_faces(g, rot)
+        cur = len(_walk_faces(rot))
         if cur >= want_faces:
             return trace_faces(g, rot)
         if not big:
@@ -340,20 +340,17 @@ def hill_climb_genus(
             order[i], order[j] = order[j], order[i]
             cand = dict(rot)
             cand[v] = tuple(order)
-            fc = faces_of(cand)
+            fc = len(_walk_faces(cand))
             if fc >= cur:
                 if fc > cur:
                     stale = 0
                 rot, cur = cand, fc
-                if cur > len(best_emb.faces):
-                    best_emb = trace_faces(g, rot)
                 if cur >= want_faces:
                     return trace_faces(g, rot)
             stale += 1
             if stale > 600:
                 break
-    if best_emb is not None and best_emb.euler_genus <= target:
-        return best_emb
+    # every rotation seen had fewer than want_faces faces, the best included
     return None
 
 

@@ -4,8 +4,11 @@ A graph in the class embeds in the torus exactly when, after reducing to
 its unique non-planar block (genus is additive over blocks and connected
 components), the side components of a K5-subdivision are planar once
 augmented, or all but one are and the last is special, or an M-subdivision
-exists whose augmented side components are all planar.  Out-of-class
-inputs are reported as such, with a TK3,3 witness, rather than decided.
+exists whose augmented side components are all planar.  That last case
+needs no search of the whole block: the M-subdivision is the TK5 joined
+with a TK5 of the one bad side component pinned at its corners, and when
+that component holds none, the graph is not toroidal.  Out-of-class inputs
+are reported as such, with a TK3,3 witness, rather than decided.
 
 Every verdict carries a machine-checkable certificate;
 :func:`verify_certificate` replays its claims against the planarity and
@@ -17,13 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .errors import (
-    CertificateError,
-    ClassViolationError,
-    GraphInputError,
-    K33Found,
-    NoMSubdivisionError,
-)
+from .errors import CertificateError, GraphInputError, InternalError, K33Found
 from .graphs import Graph, blocks
 from .planarity import is_planar
 from .structure import (
@@ -145,13 +142,20 @@ def _report(sc: SideComponent) -> ComponentReport:
 
 def build_m_subdivision(
     g: Graph, w: SubdivisionWitness, f: SideComponent
-) -> SubdivisionWitness:
-    """Combine the TK5 ``w`` with a second K5-subdivision found inside the
-    non-planar side component ``f`` into an M-subdivision whose central
-    path joins f's corners; falls back to an exhaustive TM search in g.
+) -> SubdivisionWitness | None:
+    """The M-subdivision of Case iii: the TK5 ``w`` joined with a TK5
+    pinned at the corners a, b of ``f``, the one side component of w whose
+    augmentation is non-planar; None when f holds no such TK5.
 
-    Raises :class:`NoMSubdivisionError` when g has no M-subdivision at all,
-    and :class:`SearchBudgetExceeded` when either search passes its budget.
+    None settles the case: g is then not toroidal.  In a K3,3-free block
+    the corners of a TK5 are the five vertices of one K5 piece of its
+    Wagner/Hall decomposition along 2-separations, and the two halves of a
+    TM share its central pair.  When f holds no TK5 pinned at a, b, every
+    TM of g misses the K5 piece of w, which then makes some augmented side
+    component of that TM non-planar.
+
+    Raises :class:`SearchBudgetExceeded` when the pinned search passes its
+    budget.
     """
     if is_planar(f.subgraph):
         raise GraphInputError(
@@ -159,66 +163,33 @@ def build_m_subdivision(
         )
     a, b = f.corners
     inner = find_subdivision(f.subgraph, K5_PATTERN, require_corners={0: a, 1: b})
-    if inner is not None:
-        combined = _combine_tm(g, w, inner, a, b)
-        if combined is not None:
-            return combined
-    tm = find_subdivision(g, M_PATTERN)
-    if tm is None:
-        raise NoMSubdivisionError(f"no M-subdivision in host with {g.n} vertices")
-    return tm
-
-
-def _combine_tm(
-    g: Graph,
-    w: SubdivisionWitness,
-    inner: SubdivisionWitness,
-    a: int,
-    b: int,
-) -> SubdivisionWitness | None:
-    """Merge two K5-subdivisions sharing exactly the corners a, b into a TM
-    (central corners a, b); None when the pieces collide."""
-    inv_w = {v: p for p, v in w.corner_map.items()}
-    outer_rest = sorted(c for c in w.corners if c not in (a, b))
-    inner_rest = sorted(v for v in inner.corners if v not in (a, b))
-    if len(outer_rest) != 3 or len(inner_rest) != 3:
+    if inner is None:
         return None
-    if set(outer_rest) & set(inner_rest):
-        return None
-    corner_map = {0: a, 1: b}
-    corner_map.update({2 + i: outer_rest[i] for i in range(3)})
-    corner_map.update({5 + i: inner_rest[i] for i in range(3)})
+    # M corners: 0, 1 = a, b; 2..4 the rest of w; 5..7 the rest of inner
+    outer_rest = sorted(w.corners - {a, b})
+    inner_rest = sorted(inner.corners - {a, b})
+    corner_map = dict(enumerate([a, b, *outer_rest, *inner_rest]))
 
-    # M pattern vertex -> pattern vertex of the contributing K5 witness
-    to_outer = {0: inv_w[a], 1: inv_w[b]}
-    to_outer.update({2 + i: inv_w[outer_rest[i]] for i in range(3)})
-    inv_inner = {v: p for p, v in inner.corner_map.items()}
-    to_inner = {0: inv_inner[a], 1: inv_inner[b]}
-    to_inner.update({5 + i: inv_inner[inner_rest[i]] for i in range(3)})
+    def path(src: SubdivisionWitness, u: int, v: int) -> tuple[int, ...]:
+        inv = {c: p for p, c in src.corner_map.items()}
+        found = src.branch_paths[tuple(sorted((inv[u], inv[v])))]
+        return found if found[0] == u else found[::-1]
 
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def take(src: SubdivisionWitness, conv: dict[int, int], mp: int, mq: int) -> bool:
-        key = tuple(sorted((conv[mp], conv[mq])))
-        path = src.branch_paths.get(key)
-        if path is None:
-            return False
-        if path[0] != src.corner_map[conv[mp]]:
-            path = tuple(reversed(path))
-        paths[(mp, mq)] = path
-        return True
-
-    for mp, mq in pattern_graph(M_PATTERN).edges:
-        src, conv = (
-            (inner, to_inner) if {mp, mq} <= {0, 1, 5, 6, 7} else (w, to_outer)
+    # the inner TK5 lies in f, and w's paths but its a-b path lie in other
+    # side components, so the halves meet only at a and b
+    paths = {
+        (mp, mq): path(
+            inner if {mp, mq} <= {0, 1, 5, 6, 7} else w,
+            corner_map[mp],
+            corner_map[mq],
         )
-        if not take(src, conv, mp, mq):
-            return None
+        for mp, mq in pattern_graph(M_PATTERN).edges
+    }
     tm = SubdivisionWitness(M_PATTERN, corner_map, paths)
     try:
         tm.validate(g)
-    except ValueError:
-        return None
+    except ValueError as exc:
+        raise InternalError(f"combined TM is invalid: {exc}") from exc
     return tm
 
 
@@ -250,9 +221,8 @@ def _decide_block(block: Graph, dec: SideDecomposition) -> ToroidalityVerdict:
             components=reports,
             special_corners=f.corners,
         )
-    try:
-        tm = build_m_subdivision(block, tk5, f)
-    except NoMSubdivisionError:
+    tm = build_m_subdivision(block, tk5, f)
+    if tm is None:
         return ToroidalityVerdict(
             NON_TOROIDAL,
             CASE_NO_VALID_M,
@@ -283,31 +253,18 @@ def _decide_block(block: Graph, dec: SideDecomposition) -> ToroidalityVerdict:
     )
 
 
-def _scan_blocks(g: Graph) -> list[tuple[Graph, SideDecomposition | None]]:
-    """Each block of g with the side decomposition of its TK5, None for a
-    planar block.  Raises :class:`ClassViolationError` carrying a TK3,3 when
-    some block has one."""
-    scanned = []
-    for block in blocks(g).blocks:
-        found = scan_block(block)
-        if isinstance(found, SubdivisionWitness):
-            raise ClassViolationError(
-                "graph contains a K3,3-subdivision", witness=found
-            )
-        scanned.append((block, found))
-    return scanned
-
-
 def decide_toroidal(g: Graph) -> ToroidalityVerdict:
     """Decide torus embeddability of any graph with no K3,3's.
 
     Inputs containing a K3,3-subdivision are not decided: the verdict is
     NotInClass and carries the witness.
     """
-    try:
-        scanned = _scan_blocks(g)
-    except ClassViolationError as exc:
-        return ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=exc.witness)
+    scanned = []
+    for block in blocks(g).blocks:
+        found = scan_block(block)
+        if isinstance(found, SubdivisionWitness):
+            return ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=found)
+        scanned.append((block, found))
     nonplanar = tuple(i for i, (_, dec) in enumerate(scanned) if dec is not None)
     if not nonplanar:
         return ToroidalityVerdict(TOROIDAL, CASE_ALL_PLANAR_BLOCKS)
@@ -318,37 +275,6 @@ def decide_toroidal(g: Graph) -> ToroidalityVerdict:
     index = nonplanar[0]
     block_verdict = _decide_block(*scanned[index])
     return replace(block_verdict, block_index=index, nonplanar_blocks=nonplanar)
-
-
-@dataclass(frozen=True)
-class BlockVerdict:
-    index: int
-    vertices: int
-    edges: int
-    kind: str  # "planar" | "toroidal-nonplanar" | "nontoroidal"
-
-
-def genus_additivity_check(g: Graph) -> tuple[bool, tuple[BlockVerdict, ...]]:
-    """Per-block classification; the whole graph is toroidal exactly when
-    at most one block is non-planar and that block is itself toroidal.
-
-    Raises :class:`ClassViolationError` on inputs containing a TK3,3.
-    """
-    out = []
-    nonplanar_toroidal = 0
-    nontoroidal = 0
-    for i, (b, dec) in enumerate(_scan_blocks(g)):
-        if dec is None:
-            kind = "planar"
-        elif _decide_block(b, dec).is_toroidal:
-            kind = "toroidal-nonplanar"
-            nonplanar_toroidal += 1
-        else:
-            kind = "nontoroidal"
-            nontoroidal += 1
-        out.append(BlockVerdict(i, b.n, b.m, kind))
-    overall = nontoroidal == 0 and nonplanar_toroidal <= 1
-    return overall, tuple(out)
 
 
 def verify_certificate(g: Graph, verdict: ToroidalityVerdict) -> bool:
@@ -433,7 +359,12 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     _require(not is_planar(f.subgraph), "the component is non-planar")
     if v.case == CASE_NO_VALID_M:
         _require(v.status == NON_TOROIDAL, "status NonToroidal")
-        _require(find_subdivision(block, M_PATTERN) is None, "no TM in the block")
+        a, b = f.corners
+        _require(
+            find_subdivision(f.subgraph, K5_PATTERN, require_corners={0: a, 1: b})
+            is None,
+            "no TK5 in the component pinned at its corners",
+        )
         return
     _require(v.tm is not None and v.tm.pattern == M_PATTERN, "a TM witness")
     v.tm.validate(block)

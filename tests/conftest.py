@@ -90,3 +90,19 @@ def g3_with_k4s() -> Graph:
         n += 2
         edges += [(u, a), (u, b), (v, a), (v, b), (a, b)]
     return Graph(range(n), edges)
+
+
+def g3_tail() -> Graph:
+    """A 30-vertex G3 clique sum, one of the benchmark's fixed tail graphs:
+    NonToroidal/NoValidM, and the pinned TK5 search in its bad side
+    component takes steps both when deciding and when replaying."""
+    return Graph(
+        range(30),
+        [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 3),
+         (1, 4), (1, 12), (1, 13), (1, 14), (1, 15), (2, 3), (2, 4), (3, 4),
+         (5, 8), (5, 9), (5, 11), (5, 12), (5, 15), (5, 16), (5, 18), (6, 7),
+         (6, 8), (6, 10), (6, 27), (6, 29), (7, 8), (7, 9), (10, 11), (12, 13),
+         (13, 14), (14, 15), (14, 23), (14, 24), (14, 26), (16, 17), (17, 18),
+         (19, 20), (19, 22), (20, 21), (21, 22), (23, 24), (23, 25), (24, 25),
+         (25, 26), (27, 28), (28, 29)],
+    )

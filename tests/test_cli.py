@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toroidal import Graph, decide_toroidal, to_edge_list_text, to_graph6
+from toroidal import Graph, builtin, decide_toroidal, to_edge_list_text, to_graph6
 from toroidal.cli import main
 
 from conftest import g3_with_k4s
@@ -212,10 +212,14 @@ def test_decide_batch_past_sixteen_vertices(tmp_path, capsys):
 
 
 def test_decide_batch_survives_search_budget_refusal(tmp_path, capsys, monkeypatch):
+    # G4's pinned TK5 search takes steps, so a budget of 0 refuses it
     from toroidal import subdivisions
 
-    monkeypatch.setattr(subdivisions, "SEARCH_BUDGET", 100)
-    path = _k5_then_g3_with_k4s(tmp_path)
+    monkeypatch.setattr(subdivisions, "SEARCH_BUDGET", 0)
+    path = tmp_path / "batch.txt"
+    path.write_text(
+        to_edge_list_text(Graph.complete(5)) + "\n" + to_edge_list_text(builtin("G4"))
+    )
     code, out, _ = run(capsys, "decide", str(path), "--json")
     assert code == 3
     payload = json.loads(out)

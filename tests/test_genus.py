@@ -123,6 +123,24 @@ def test_hill_climb_is_deterministic(mgraph):
     assert a.rotation == b.rotation
 
 
+def test_hill_climb_traces_only_the_embedding_it_returns(monkeypatch, mgraph, k5):
+    from toroidal import genus
+
+    traced = []
+    original = genus.trace_faces
+
+    def counting(g, rotation):
+        traced.append(rotation)
+        return original(g, rotation)
+
+    monkeypatch.setattr(genus, "trace_faces", counting)
+    emb = hill_climb_genus(mgraph, target=1, seed=0)
+    assert traced == [emb.rotation]
+    traced.clear()
+    assert hill_climb_genus(k5, target=0, seed=0, restarts=2, steps=50) is None
+    assert traced == []
+
+
 def test_min_genus_matches_planarity_on_samples():
     rng = random.Random(15)
     for _ in range(40):

@@ -3,17 +3,16 @@ import random
 import pytest
 
 from toroidal import (
-    ClassViolationError,
     Graph,
     GraphInputError,
     SearchBudgetExceeded,
+    SubdivisionWitness,
     builtin,
     build_m_subdivision,
     decide_toroidal,
     decompose_by_corners,
     find_k5_subdivision,
     find_subdivision,
-    genus_additivity_check,
     has_minor,
     is_planar,
     verify_certificate,
@@ -32,7 +31,7 @@ from toroidal.toroidality import (
     TOROIDAL,
 )
 
-from conftest import g3_with_k4s, random_graph, two_k5s_shared_vertex
+from conftest import g3_tail, g3_with_k4s, random_graph, two_k5s_shared_vertex
 
 
 def check(g, status, case=None):
@@ -159,25 +158,72 @@ def test_g3_yields_no_valid_m():
 
 def test_no_vertex_cap_on_the_tm_search():
     # one 19-vertex block whose single non-planar side component holds no
-    # pinned TK5 that combines into a TM, so the exhaustive TM search runs
+    # TK5 pinned at its corners, so Case iii ends in NoValidM
     g = g3_with_k4s()
     assert g.n == 19
     v = check(g, NON_TOROIDAL, CASE_NO_VALID_M)
     assert verify_certificate(g, v)
 
 
-def test_tm_search_refuses_past_its_budget(monkeypatch):
+def test_tm_search_refuses_past_its_budget(monkeypatch, g4):
     from toroidal import subdivisions
 
-    g = g3_with_k4s()
-    v = decide_toroidal(g)
-    monkeypatch.setattr(subdivisions, "SEARCH_BUDGET", 100)
+    g = g3_tail()
+    v = check(g, NON_TOROIDAL, CASE_NO_VALID_M)
+    monkeypatch.setattr(subdivisions, "SEARCH_BUDGET", 0)
     with pytest.raises(SearchBudgetExceeded) as refused:
-        decide_toroidal(g)
+        decide_toroidal(g4)
     assert not isinstance(refused.value, GraphInputError)
-    # replay repeats the exhaustive TM search: a refusal, not a False
+    # replay repeats the pinned TK5 search: a refusal, not a False
     with pytest.raises(SearchBudgetExceeded):
         verify_certificate(g, v)
+
+
+# in-class, with a G1 minor; the exhaustive TM search took 38.6 s on it
+TWENTY_ONE = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (1, 6), (1, 7),
+    (1, 9), (1, 10), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (3, 7), (3, 10),
+    (3, 15), (3, 20), (5, 8), (5, 11), (6, 7), (6, 12), (6, 13), (6, 15),
+    (6, 16), (7, 8), (7, 17), (7, 18), (7, 19), (8, 17), (8, 18), (8, 19),
+    (9, 10), (9, 20), (11, 12), (11, 13), (11, 14), (12, 13), (12, 14),
+    (13, 14), (14, 16), (17, 18), (17, 19), (18, 19),
+]
+# K5s on {0, 3, 5, 6, 7} and {3, 4, 8, 9, 10}, sharing vertex 3, and a K5
+# minus the edge 3-4 on 0..4: TMs exist, but each misses one of the K5s
+ELEVEN = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3),
+    (1, 4), (2, 3), (2, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10),
+    (4, 8), (4, 9), (4, 10), (5, 6), (5, 7), (6, 7), (8, 9), (8, 10), (9, 10),
+]
+
+
+def test_no_valid_m_without_a_whole_block_tm_search(monkeypatch):
+    import toroidal
+    from toroidal import subdivisions, toroidality
+
+    original = subdivisions.find_subdivision
+
+    def no_tm_search(g, h, require_corners=None):
+        if h == "M":
+            raise AssertionError("exhaustive TM search")
+        return original(g, h, require_corners)
+
+    for module in (toroidal, subdivisions, toroidality):
+        monkeypatch.setattr(module, "find_subdivision", no_tm_search)
+    g = Graph(range(21), TWENTY_ONE)
+    assert has_minor(g, builtin("G1"))
+    check(g, NON_TOROIDAL, CASE_NO_VALID_M)
+
+
+def test_no_valid_m_where_some_tm_fails():
+    # a TM exists, but it is not built from the TK5's bad side component,
+    # and it has a non-planar augmented side component (test-only oracle)
+    g = Graph(range(11), ELEVEN)
+    check(g, NON_TOROIDAL, CASE_NO_VALID_M)
+    tm = find_subdivision(g, "M")
+    assert tm is not None
+    dec = decompose_by_corners(g, tm)
+    assert not all(is_planar(sc.augmented) for sc in dec.components)
 
 
 def test_build_m_subdivision_on_m_graph(mgraph):
@@ -197,25 +243,24 @@ def test_build_m_subdivision_on_g4(g4):
     tm.validate(g4)
 
 
+def test_build_m_subdivision_when_the_tk5_central_path_crosses_f(mgraph):
+    # a TK5 of M on corners 0..4 whose 0-1 path runs through corner 5 of
+    # the other K5: the TM's central path comes from the pinned TK5
+    paths = {(p, q): (p, q) for p in range(5) for q in range(p + 1, 5)}
+    paths[(0, 1)] = (0, 5, 1)
+    w = SubdivisionWitness("K5", {i: i for i in range(5)}, paths)
+    w.validate(mgraph)
+    f = decompose_by_corners(mgraph, w).component(0, 1)
+    tm = build_m_subdivision(mgraph, w, f)
+    tm.validate(mgraph)
+    assert tm.corners == frozenset(range(8)) and tm.branch_paths[(0, 1)] == (0, 1)
+
+
 def test_build_m_subdivision_needs_nonplanar_component(k5):
     w = find_k5_subdivision(k5)
     dec = decompose_by_corners(k5, w)
     with pytest.raises(GraphInputError):
         build_m_subdivision(k5, w, dec.components[0])
-
-
-def test_genus_additivity_check(k5, k4):
-    ok, verdicts = genus_additivity_check(k5.disjoint_union(k5))
-    assert not ok and [v.kind for v in verdicts] == ["toroidal-nonplanar"] * 2
-    ok, verdicts = genus_additivity_check(two_k5s_shared_vertex())
-    assert not ok
-    ok, verdicts = genus_additivity_check(k5.disjoint_union(k4))
-    assert ok and sorted(v.kind for v in verdicts) == ["planar", "toroidal-nonplanar"]
-
-
-def test_genus_additivity_check_rejects_k33(k33):
-    with pytest.raises(ClassViolationError):
-        genus_additivity_check(k33)
 
 
 def test_one_extraction_per_block(monkeypatch):

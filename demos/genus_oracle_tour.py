@@ -39,7 +39,7 @@ print(f"\nM-graph rotation space: {rotation_space_size(m)} systems")
 try:
     min_genus_bruteforce(m)
 except GenusBudgetExceeded as exc:
-    print(f"  exhaustive sweep refused: {exc}")
+    print(f"  exact search refused: {exc}")
 emb = hill_climb_genus(m, target=1, seed=0)
 print(f"  randomized search found a genus-{emb.euler_genus} embedding with "
       f"{len(emb.faces)} faces (one-sided evidence, validated by face tracing)")

@@ -1,12 +1,16 @@
-"""Brute-force orientable genus over rotation systems.
+"""Exact orientable genus over rotation systems.
 
 This is the independent oracle used to validate the decision procedure on
 small graphs: a rotation system (cyclic neighbor order at each vertex)
 determines an embedding whose faces are traced by the next-edge-after
-rule, and the Euler formula gives its genus.  Minimum genus enumerates
-every rotation system, refusing outright when the space exceeds the
-budget; a separate randomized helper can exhibit low-genus embeddings of
-graphs that are over budget but proves nothing by failing.
+rule, and the Euler formula gives its genus.  One depth-first walker
+fixes the rotations vertex by vertex, counts faces as they close and cuts
+every branch whose face count Euler's formula puts outside the window
+asked for; minimum genus deepens that window genus by genus from a floor
+set by the girth.  Every exact oracle refuses outright when the rotation
+space exceeds the budget; a separate randomized helper can exhibit
+low-genus embeddings of graphs that are over budget but proves nothing by
+failing.
 """
 
 from __future__ import annotations
@@ -112,29 +116,96 @@ def _genus0_faces(g: Graph) -> int:
     return 2 * c - (g.n - g.m + isolated)
 
 
-def _count_faces(succ: list[int], ndarts: int) -> int:
-    seen = bytearray(ndarts)
-    faces = 0
-    for d in range(ndarts):
-        if seen[d]:
+def _girth(g: Graph, comp: frozenset[int]) -> int:
+    """Length of a shortest cycle in the component ``comp``, which is not a
+    tree.  A BFS from r meets each non-tree edge uw at depths d(u), d(w);
+    the two tree paths and uw form a closed walk of d(u) + d(w) + 1 edges
+    that holds a cycle, and from a vertex on a shortest cycle some such
+    walk is that cycle."""
+    best = 2 * g.m
+    for r in comp:
+        dist = {r: 0}
+        parent = {r: r}
+        queue = [r]
+        for u in queue:
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w:
+                    best = min(best, dist[u] + dist[w] + 1)
+    return best
+
+
+def _face_bounds(g: Graph) -> tuple[int, int]:
+    """(ceiling, shortest): no rotation system of g traces more than
+    ``ceiling`` faces, and none traces a face of fewer than ``shortest``
+    darts.
+
+    A tree component with m_c >= 1 edges has exactly one face, of 2 m_c
+    darts, since n_c - m_c = 1 leaves Euler's formula no genus to spare;
+    an isolated vertex traces none.  Any other component traces at most
+    floor(2 m_c / girth_c) faces, because its faces share its 2 m_c darts
+    and each face walk contains a cycle.  For if the edges of a face walk
+    formed a tree T, the closed walk would cross each edge of T both ways,
+    so it would enter each vertex v of T from every T-neighbour u and leave
+    along the edge to u's successor in v's rotation.  The rotation would
+    then never leave v's edges in T, so every edge at v would lie in T,
+    and T would be the whole component, which is not a tree.  Face counts
+    of g all have the parity of ``_genus0_faces(g)``, so the total is
+    rounded down to it.
+    """
+    ceiling = 0
+    shortest = max(2 * g.m, 1)
+    for comp in g.connected_components():
+        m_c = sum(g.degree(v) for v in comp) // 2
+        if m_c == 0:
             continue
-        faces += 1
-        x = d
-        while not seen[x]:
-            seen[x] = 1
-            x = succ[x]
-    return faces
+        if m_c == len(comp) - 1:
+            ceiling += 1
+            shortest = min(shortest, 2 * m_c)
+        else:
+            girth = _girth(g, comp)
+            ceiling += 2 * m_c // girth
+            shortest = min(shortest, girth)
+    if (ceiling - _genus0_faces(g)) % 2:
+        ceiling -= 1
+    return ceiling, shortest
 
 
-class _Enumerator:
-    """Odometer over per-vertex rotations with incremental successor
-    updates.  Dart 2i / 2i+1 are the two directions of edge i.
+def _placement_order(g: Graph) -> list[int]:
+    """Vertices in the order the walker fixes their rotations: next the one
+    with the most neighbours already placed (then the highest degree, then
+    the lowest label), so that faces close early and cuts come high up."""
+    placed = {v: 0 for v in g.vertices}
+    order = []
+    while placed:
+        v = max(placed, key=lambda v: (placed[v], g.degree(v), -v))
+        del placed[v]
+        order.append(v)
+        for w in g.neighbors(v):
+            if w in placed:
+                placed[w] += 1
+    return order
+
+
+class _Walker:
+    """Depth-first walk over rotation systems that fixes one vertex's
+    rotation per level and counts each face as it closes.  Dart 2i / 2i+1
+    are the two directions of edge i.
+
+    Fixing v's rotation sets the successor of every dart into v; the darts
+    with successors set form open chains and closed faces.  Only each
+    chain's ends are kept (``head`` at its last dart, ``tail`` and
+    ``length`` at its first), which is all that joining two chains or
+    closing one needs, and the changes are undone in reverse.
 
     Refuses a space larger than ``budget`` on construction.  The tables
-    are built when the walk starts: min_genus_bruteforce's hill climb often
-    answers first, and one high-degree vertex's table can be large.  With
-    ``halve`` the first vertex of degree >= 3 keeps one of each mirror pair
-    of its rotations."""
+    are built when the first walk starts: min_genus_bruteforce's hill climb
+    often answers first, and one high-degree vertex's table can be large.
+    With ``halve`` the first placed vertex of degree >= 3 keeps one of each
+    mirror pair of its rotations."""
 
     def __init__(self, g: Graph, halve: bool, budget: int):
         size = rotation_space_size(g)
@@ -143,19 +214,19 @@ class _Enumerator:
         self.g = g
         self.halve = halve
         self.genus0_faces = _genus0_faces(g)
+        self.ceiling, self.shortest = _face_bounds(g)
+        self.orders: list[list[tuple[int, ...]]] | None = None
 
     def _build(self) -> None:
         g = self.g
-        edges = g.edges
-        self.ndarts = 2 * len(edges)
         dart_id: dict[tuple[int, int], int] = {}
-        for i, (u, v) in enumerate(edges):
+        for i, (u, v) in enumerate(g.edges):
             dart_id[(u, v)] = 2 * i
             dart_id[(v, u)] = 2 * i + 1
-        self.vertices = sorted(g.vertices, key=lambda v: -g.degree(v))
-        self.orders: list[list[tuple[int, ...]]] = []
+        self.vertices = _placement_order(g)
+        self.orders = []
         self.updates: list[list[list[tuple[int, int]]]] = []
-        halved = False
+        halved = not self.halve
         for v in self.vertices:
             nbrs = g.neighbors(v)
             if not nbrs:
@@ -164,51 +235,80 @@ class _Enumerator:
                 continue
             first, rest = nbrs[0], nbrs[1:]
             perms = list(itertools.permutations(rest))
-            if self.halve and not halved and len(nbrs) >= 3:
+            if not halved and len(nbrs) >= 3:
                 perms = [p for p in perms if p[0] < p[-1]]
                 halved = True
             orders = [(first,) + p for p in perms]
-            table = []
-            for order in orders:
-                entry = [
-                    (dart_id[(order[i], v)], dart_id[(v, order[(i + 1) % len(order)])])
+            self.orders.append(orders)
+            self.updates.append([
+                [
+                    (dart_id[(order[i - 1], v)], dart_id[(v, order[i])])
                     for i in range(len(order))
                 ]
-                table.append(entry)
-            self.orders.append(orders)
-            self.updates.append(table)
+                for order in orders
+            ])
 
-    def enumerate_face_counts(self):
-        """Yield the face count of every rotation system in the space;
-        while suspended, :meth:`rotation` rebuilds the system just yielded."""
-        self._build()
-        succ = [0] * self.ndarts
-        counts = [len(t) for t in self.updates]
-        idx = self.idx = [0] * len(self.updates)
-        for t in self.updates:
-            for i, o in t[0]:
-                succ[i] = o
-        nd = self.ndarts
-        count_faces = _count_faces
-        while True:
-            yield count_faces(succ, nd)
-            # odometer: last vertex spins fastest
-            k = len(idx) - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < counts[k]:
-                    for i, o in self.updates[k][idx[k]]:
-                        succ[i] = o
-                    break
-                idx[k] = 0
-                for i, o in self.updates[k][0]:
-                    succ[i] = o
-                k -= 1
-            if k < 0:
-                return
+    def walk(self, lo: int, hi: int):
+        """Yield the face count of every rotation system with between
+        ``lo`` and ``hi`` faces; while suspended, :meth:`rotation` rebuilds
+        the system just yielded.
+
+        A branch is cut when more than ``hi`` faces have closed, or when
+        the closed faces plus the most faces the open darts can still form
+        (each takes at least ``shortest`` of them) fall short of ``lo``."""
+        if self.orders is None:
+            self._build()
+        nd, shortest = 2 * self.g.m, self.shortest
+        head = list(range(nd))  # at a chain's last dart: its first dart
+        tail = list(range(nd))  # at a chain's first dart: its last dart
+        length = [1] * nd  # at a chain's first dart: its dart count
+        updates = self.updates
+        if not updates:  # the empty graph's one system traces no face
+            if lo <= 0 <= hi:
+                yield 0
+            return
+        last = len(updates) - 1
+        idx = self.idx = [-1] * len(updates)
+        undo: list[list[tuple[int, int, int, int, int]]] = [[] for _ in updates]
+        closed = closed_darts = 0
+        depth = 0
+        while depth >= 0:
+            log = undo[depth]
+            while log:  # take back this level's previous rotation
+                s, into, out, e, old_len = log.pop()
+                if e < 0:
+                    closed -= 1
+                    closed_darts -= old_len
+                else:
+                    tail[s] = into
+                    head[e] = out
+                    length[s] = old_len
+            k = idx[depth] = idx[depth] + 1
+            if k == len(updates[depth]):
+                idx[depth] = -1
+                depth -= 1
+                continue
+            for into, out in updates[depth][k]:
+                s = head[into]
+                if s == out:  # the chain closes into a face
+                    closed += 1
+                    closed_darts += length[s]
+                    log.append((s, into, out, -1, length[s]))
+                else:
+                    e = tail[out]
+                    log.append((s, into, out, e, length[s]))
+                    tail[s] = e
+                    head[e] = s
+                    length[s] += length[out]
+            if closed > hi or closed + (nd - closed_darts) // shortest < lo:
+                continue
+            if depth == last:
+                yield closed
+            else:
+                depth += 1
 
     def rotation(self) -> dict[int, tuple[int, ...]]:
-        """The rotation system at the odometer's current position."""
+        """The rotation system the walk stands at."""
         return {
             v: orders[i] for v, orders, i in zip(self.vertices, self.orders, self.idx)
         }
@@ -217,43 +317,39 @@ class _Enumerator:
 def min_genus_bruteforce(
     g: Graph, budget: int = DEFAULT_BUDGET, stop_at: int = 0
 ) -> int:
-    """Exact orientable genus by exhausting rotation systems.
+    """Exact orientable genus by a bounded search over rotation systems.
 
     Refuses (raises :class:`GenusBudgetExceeded`) when the space is larger
-    than ``budget``; never guesses.  With ``stop_at`` > 0 the sweep is cut
-    short as soon as the running minimum reaches it, so the return value is
-    only an upper bound that is <= ``stop_at`` (exact otherwise).
+    than ``budget``; never guesses.  The search deepens by genus from
+    k = max(floor, ``stop_at``), where the floor is the genus that
+    :func:`_face_bounds`' face ceiling forces.  For each k a hill climb
+    aims at genus <= k, then the walker looks for one system with at least
+    the faces of genus k, cutting every branch that cannot reach them; the
+    first k that succeeds gives the answer, and each k that fails is a
+    proof that the genus exceeds it.  So with ``stop_at`` > 0 the return
+    value is only an upper bound when it is <= ``stop_at``, and exact
+    otherwise.
     """
-    sweep = _Enumerator(g, halve=True, budget=budget)
+    walker = _Walker(g, halve=True, budget=budget)
     if g.m == 0:
         return 0
-    # a cheap hill climb often hits the minimum and arms the early exit
-    climbed = hill_climb_genus(
-        g,
-        target=stop_at,
-        seed=0,
-        restarts=8 if stop_at >= 1 else 3,
-        steps=1200,
-    )
-    if climbed is not None and climbed.euler_genus <= stop_at:
-        return climbed.euler_genus
-    base = sweep.genus0_faces
-    stop_faces = base - 2 * stop_at  # faces needed for genus <= stop_at
-    best_faces = base - 2 * climbed.euler_genus if climbed is not None else -1
-    for faces in sweep.enumerate_face_counts():
-        if faces > best_faces:
-            best_faces = faces
-            if faces >= stop_faces:
-                break
-    return (base - best_faces) // 2
+    base = walker.genus0_faces
+    k = max((base - walker.ceiling) // 2, stop_at)
+    while True:
+        climbed = hill_climb_genus(g, target=k, seed=0, restarts=3, steps=1200)
+        if climbed is not None:
+            return climbed.euler_genus
+        for faces in walker.walk(base - 2 * k, 2 * g.m):
+            return (base - faces) // 2
+        k += 1
 
 
 def genus_distribution(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Number of rotation systems per genus (no symmetry reduction)."""
-    sweep = _Enumerator(g, halve=False, budget=budget)
+    walker = _Walker(g, halve=False, budget=budget)
     dist: dict[int, int] = {}
-    for faces in sweep.enumerate_face_counts():
-        genus = (sweep.genus0_faces - faces) // 2
+    for faces in walker.walk(0, 2 * g.m):
+        genus = (walker.genus0_faces - faces) // 2
         dist[genus] = dist.get(genus, 0) + 1
     return dist
 
@@ -272,13 +368,12 @@ def _rotation_key(g: Graph, rotation: dict[int, tuple[int, ...]]) -> tuple:
 def count_torus_embeddings(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Number of genus-1 rotation systems up to graph automorphisms and
     global orientation reversal."""
-    # not halved: bench/run.py's rotations_visited counts the full space here
-    sweep = _Enumerator(g, halve=False, budget=budget)
-    target_faces = sweep.genus0_faces - 2  # faces at genus exactly 1
+    # every orbit keeps a member in the halved space: reflecting a system
+    # mirrors the halved vertex's rotation
+    walker = _Walker(g, halve=True, budget=budget)
+    faces = walker.genus0_faces - 2  # faces at genus exactly 1
     remaining = {  # genus-1 systems whose orbit is not counted yet
-        _rotation_key(g, sweep.rotation())
-        for faces in sweep.enumerate_face_counts()
-        if faces == target_faces
+        _rotation_key(g, walker.rotation()) for _ in walker.walk(faces, faces)
     }
     verts = g.vertices
     auts = automorphisms(g)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from toroidal import (
     GenusBudgetExceeded,
     Graph,
     GraphInputError,
+    builtin,
     count_torus_embeddings,
     genus_distribution,
     hill_climb_genus,
@@ -17,7 +19,7 @@ from toroidal import (
     trace_faces,
 )
 
-from conftest import PETERSEN, random_graph
+from conftest import PETERSEN, atlas_graphs, random_graph
 
 
 def random_rotation(g, rng):
@@ -154,6 +156,65 @@ def test_min_genus_matches_planarity_on_samples():
 
 def test_stop_at_gives_upper_bound(k5):
     assert min_genus_bruteforce(k5, stop_at=1) == 1
+
+
+def unpruned_distribution(g):
+    """Genus per rotation system, tracing every system in the space."""
+    per_vertex = []
+    for v in g.vertices:
+        ns = g.neighbors(v)
+        rest = itertools.permutations(ns[1:]) if ns else [()]
+        per_vertex.append([ns[:1] + p for p in rest])
+    dist = {}
+    for orders in itertools.product(*per_vertex):
+        genus = trace_faces(g, dict(zip(g.vertices, orders))).euler_genus
+        dist[genus] = dist.get(genus, 0) + 1
+    return dist
+
+
+def test_pruned_walk_matches_unpruned_reference():
+    # the empty graph, forests and K2 components included: their faces
+    # are shorter than any girth
+    from toroidal.genus import _genus0_faces, _Walker
+
+    checked = 0
+    for g in atlas_graphs(max_n=7, min_n=0):
+        if rotation_space_size(g) > 2000:
+            continue
+        dist = unpruned_distribution(g)
+        assert genus_distribution(g) == dist, g
+        assert min_genus_bruteforce(g) == min(dist), g
+        # each one-count window cuts every branch outside it, and keeps
+        # every system inside it
+        walker = _Walker(g, halve=False, budget=2000)
+        for genus, count in dist.items():
+            faces = _genus0_faces(g) - 2 * genus
+            assert sum(1 for _ in walker.walk(faces, faces)) == count, (g, genus)
+        checked += 1
+    assert checked == 786
+
+
+def test_face_ceiling_forces_the_genus():
+    from toroidal.genus import _face_bounds, _genus0_faces
+
+    cases = {
+        Graph.complete(5): (5, 3),
+        Graph.complete_bipartite(4, 4): (8, 4),
+        PETERSEN: (5, 5),
+        Graph.path(3): (1, 4),  # one face walks the tree's 4 darts
+        Graph(range(5), [(0, 1), (2, 3), (3, 4), (4, 2)]): (3, 2),
+    }
+    for g, bounds in cases.items():
+        assert _face_bounds(g) == bounds, g
+        ceiling = bounds[0]
+        assert (_genus0_faces(g) - ceiling) // 2 == min_genus_bruteforce(g)
+
+
+@pytest.mark.parametrize("name", ["G1", "G9", "G11"])
+def test_edge_deletions_of_obstructions_are_toroidal(name):
+    g = builtin(name)
+    for u, v in g.edges:
+        assert min_genus_bruteforce(g.delete_edge(u, v), stop_at=1) <= 1, (u, v)
 
 
 def test_rotation_text_round_trip():

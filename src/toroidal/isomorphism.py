@@ -1,8 +1,11 @@
 """Graph isomorphism and canonical labeling for desk-scale graphs.
 
 ``canonical_form`` does individualization-refinement with orbit pruning
-from discovered automorphisms (a miniature nauty); ``is_isomorphic`` is an
-independent backtracking matcher so the two can cross-check each other.
+from discovered automorphisms (a miniature nauty; McKay & Piperno,
+"Practical graph isomorphism, II", 2014), and ``automorphism_generators``
+hands those automorphisms out, so that a caller can work on one member of
+each orbit; ``is_isomorphic`` is an independent backtracking matcher so the
+two can cross-check each other.
 Both are exact and intended for graphs up to roughly 16 vertices.
 """
 
@@ -123,8 +126,7 @@ class _CanonSearch:
             self.search(nxt, fixed + [v])
 
 
-def canonical_labeling(g: Graph) -> dict[int, int]:
-    """Map each vertex to its position in the canonical ordering."""
+def _canon_search(g: Graph) -> _CanonSearch:
     verts = g.vertices
     n = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
@@ -132,13 +134,30 @@ def canonical_labeling(g: Graph) -> dict[int, int]:
     for u, v in g.edges:
         adj[idx[u]] |= 1 << idx[v]
         adj[idx[v]] |= 1 << idx[u]
-    if n == 0:
-        return {}
     search = _CanonSearch(adj, n)
-    search.search([list(range(n))], [])
-    order = search.best_order
+    if n:
+        search.search([list(range(n))], [])
+    return search
+
+
+def canonical_labeling(g: Graph) -> dict[int, int]:
+    """Map each vertex to its position in the canonical ordering."""
+    order = _canon_search(g).best_order or []
     # order[i] = internal index placed at canonical position i
-    return {verts[order[i]]: i for i in range(n)}
+    return {g.vertices[order[i]]: i for i in range(len(order))}
+
+
+def automorphism_generators(g: Graph) -> list[dict[int, int]]:
+    """The automorphisms the canonical search of g records, as vertex maps.
+
+    Each one maps a leaf ordering onto another with the same leaf key, that
+    is the same relabeled adjacency matrix, so it preserves adjacency.  They
+    are the generators the search prunes by; no identity is among them."""
+    verts = g.vertices
+    return [
+        {verts[i]: verts[p] for i, p in enumerate(perm)}
+        for perm in _canon_search(g).generators
+    ]
 
 
 def canonical_form(g: Graph) -> str:

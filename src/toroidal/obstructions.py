@@ -7,6 +7,13 @@ and ``verify_topological_obstruction`` check the defining minimality
 properties edge by edge, and ``enumerate_splits`` regenerates the full
 topological list from the minor-order seeds.
 
+Both decide families of near-identical graphs, and each member reuses its
+parent's work.  A graph and its single-edge deletions share one pool of
+TK5s, offered to each contraction mapped through the merge, so a block
+whose TK5 survives needs no new Kuratowski extraction.  The splits of a
+graph are applied one per orbit of its automorphisms, which come from the
+canonical search that labels it.
+
 M and G4 are constructed from their defining recipes; the remaining
 catalog members are versioned graph6 data validated by the verifiers.
 """
@@ -20,7 +27,7 @@ from importlib import resources
 
 from .errors import GraphInputError
 from .graphs import Graph, from_graph6, to_graph6
-from .isomorphism import canonical_form
+from .isomorphism import automorphism_generators, canonical_form
 from .structure import is_k33_free, m_graph
 from .toroidality import NON_TOROIDAL, NOT_IN_CLASS, TOROIDAL, decide_toroidal
 
@@ -102,10 +109,16 @@ def builtin(name: str) -> Graph:
 def verify_topological_obstruction(g: Graph) -> dict:
     """Report on: minimum degree 3, non-toroidal, and every single-edge
     deletion toroidal.  NotInClass anywhere marks the report failed."""
+    return _topological_report(g, [])
+
+
+def _topological_report(g: Graph, tk5s: list) -> dict:
+    """The topological report, deciding g and its deletions with one pool
+    of TK5s: a TK5 of g survives every deletion of an edge off it."""
     min_degree_ok = bool(g.vertices) and min(g.degree(v) for v in g.vertices) >= 3
-    status = decide_toroidal(g).status
+    status = decide_toroidal(g, tk5s=tk5s).status
     deletions = [
-        {"edge": list(e), "status": decide_toroidal(g.delete_edge(*e)).status}
+        {"edge": list(e), "status": decide_toroidal(g.delete_edge(*e), tk5s=tk5s).status}
         for e in g.edges
     ]
     not_in_class = status == NOT_IN_CLASS or any(
@@ -128,10 +141,17 @@ def verify_topological_obstruction(g: Graph) -> dict:
 
 def verify_minor_obstruction(g: Graph) -> dict:
     """Topological report plus the contraction clause: every single-edge
-    contraction must also be toroidal."""
-    report = verify_topological_obstruction(g)
+    contraction must also be toroidal.  Each contraction is offered the
+    TK5s of g and its deletions, mapped through the merge."""
+    tk5s: list = []
+    report = _topological_report(g, tk5s)
     contractions = [
-        {"edge": list(e), "status": decide_toroidal(g.contract_edge(*e)).status}
+        {
+            "edge": list(e),
+            "status": decide_toroidal(
+                g.contract_edge(*e), tk5s=[w.contracted(*e) for w in tk5s]
+            ).status,
+        }
         for e in g.edges
     ]
     report["contractions"] = contractions
@@ -150,10 +170,11 @@ def is_topological_obstruction(g: Graph) -> bool:
     """Early-exit version of the topological report, for enumeration."""
     if not g.vertices or min(g.degree(v) for v in g.vertices) < 3:
         return False
-    if decide_toroidal(g).status != NON_TOROIDAL:
+    tk5s: list = []
+    if decide_toroidal(g, tk5s=tk5s).status != NON_TOROIDAL:
         return False
     for e in g.edges:
-        if decide_toroidal(g.delete_edge(*e)).status != TOROIDAL:
+        if decide_toroidal(g.delete_edge(*e), tk5s=tk5s).status != TOROIDAL:
             return False
     return True
 
@@ -207,6 +228,32 @@ def all_splits(g: Graph):
                 yield SplitOperation(v, kept, frozenset(moved))
 
 
+def _split_orbits(g: Graph, generators) -> list[list[SplitOperation]]:
+    """The split operations of g in orbits under the group that the
+    automorphisms ``generators`` of g generate; each orbit starts with its
+    first member in :func:`all_splits` order, and the orbits come in the
+    order of those first members."""
+    orbits = []
+    seen: set[tuple[int, frozenset[int]]] = set()
+    for op in all_splits(g):
+        if (op.vertex, op.part_moved) in seen:
+            continue
+        seen.add((op.vertex, op.part_moved))
+        orbit = [op]
+        for cur in orbit:  # grows while it is walked
+            for p in generators:
+                v = p[cur.vertex]
+                kept = frozenset(p[w] for w in cur.part_kept)
+                moved = frozenset(p[w] for w in cur.part_moved)
+                if g.neighbors(v)[0] in moved:  # all_splits keeps the anchor
+                    kept, moved = moved, kept
+                if (v, moved) not in seen:
+                    seen.add((v, moved))
+                    orbit.append(SplitOperation(v, kept, moved))
+        orbits.append(orbit)
+    return orbits
+
+
 def enumerate_splits(
     seeds, ceiling: int = 16, log=None
 ) -> list[Graph]:
@@ -216,6 +263,13 @@ def enumerate_splits(
     Splitting only verified obstructions loses nothing: a failed deletion
     in any graph survives (as a minor) in all of its splits, so every
     split ancestor of an obstruction is itself an obstruction.
+
+    Only the first split of each orbit under the automorphisms that the
+    canonical search of the parent records is applied.  An automorphism
+    maps one split's child onto the other's, so a later member of an orbit
+    has the canonical form of the first, which is by then accepted or
+    rejected; the first split of each canonical form is still applied
+    first, so the result is the same as splitting every way.
     """
     accepted: dict[str, Graph] = {}
     frontier: list[Graph] = []
@@ -229,10 +283,10 @@ def enumerate_splits(
     rejected: set[str] = set()
     while frontier:
         g = frontier.pop(0)
-        for op in all_splits(g):
-            child = apply_split(g, op)
-            if child.n > ceiling:
-                continue
+        if g.n + 1 > ceiling:  # every split adds one vertex
+            continue
+        for orbit in _split_orbits(g, automorphism_generators(g)):
+            child = apply_split(g, orbit[0])
             key = canonical_form(child)
             if key in accepted or key in rejected:
                 continue

@@ -7,7 +7,8 @@ non-adjacent corner pair of an M pattern) certifies a K3,3-subdivision
 instead, and one is built from it.  :func:`scan_block` makes one recursive
 pass over a block: it either finds a TK3,3 or returns the decomposition
 that the toroidality decision starts from, so the class gate and the
-decision share one Kuratowski extraction per block.
+decision share one Kuratowski extraction per block.  Across a family of
+related graphs, a pool of TK5s saves even that where one of them validates.
 """
 
 from __future__ import annotations
@@ -245,16 +246,28 @@ def is_special(sc: SideComponent) -> bool:
     )
 
 
-def scan_block(block: Graph) -> SubdivisionWitness | SideDecomposition | None:
+def scan_block(
+    block: Graph, tk5s: list[SubdivisionWitness] | None = None
+) -> SubdivisionWitness | SideDecomposition | None:
     """The one pass over a block that both checks the class and feeds the
     decision: None for a planar block, a TK3,3 witness when the block has
     one, and otherwise the side decomposition of its TK5, whose augmented
-    side components are then all K3,3-free."""
-    if is_planar(block):
-        return None
-    w = kuratowski_witness(block)
-    if w.pattern == K33_PATTERN:
-        return w
+    side components are then all K3,3-free.
+
+    ``tk5s`` pools the TK5s already found in a family of related graphs,
+    such as the single-edge minors of one graph.  The first that validates
+    on the block proves it non-planar and stands in for the planarity test
+    and the extraction; any TK5 serves the decomposition.  A TK5 extracted
+    here is appended to the pool."""
+    w = next((t for t in tk5s or () if t.holds_in(block)), None)
+    if w is None:
+        if is_planar(block):
+            return None
+        w = kuratowski_witness(block)
+        if w.pattern == K33_PATTERN:
+            return w
+        if tk5s is not None:
+            tk5s.append(w)
     try:
         dec = decompose_by_corners(block, w)
     except K33Found as exc:

@@ -74,6 +74,34 @@ class SubdivisionWitness:
     def as_subgraph(self) -> Graph:
         return Graph(self.corners, self.subgraph_edges())
 
+    def contracted(self, u: int, v: int) -> SubdivisionWitness:
+        """The image of this witness in ``g.contract_edge(u, v)``, which
+        merges v into u: v becomes u and a step u-v drops out.  It is a
+        witness there only when it still validates; merged corners or a
+        path that meets u twice do not."""
+
+        def merge(path):
+            out = []
+            for w in path:
+                w = u if w == v else w
+                if not out or out[-1] != w:
+                    out.append(w)
+            return tuple(out)
+
+        return SubdivisionWitness(
+            self.pattern,
+            {p: u if c == v else c for p, c in self.corner_map.items()},
+            {key: merge(path) for key, path in self.branch_paths.items()},
+        )
+
+    def holds_in(self, g: Graph) -> bool:
+        """True when :meth:`validate` accepts this witness inside ``g``."""
+        try:
+            self.validate(g)
+        except ValueError:
+            return False
+        return True
+
     def validate(self, g: Graph) -> None:
         """Raise ValueError unless this witness satisfies its invariants
         inside ``g``."""

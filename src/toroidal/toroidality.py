@@ -253,15 +253,19 @@ def _decide_block(block: Graph, dec: SideDecomposition) -> ToroidalityVerdict:
     )
 
 
-def decide_toroidal(g: Graph) -> ToroidalityVerdict:
+def decide_toroidal(
+    g: Graph, *, tk5s: list[SubdivisionWitness] | None = None
+) -> ToroidalityVerdict:
     """Decide torus embeddability of any graph with no K3,3's.
 
     Inputs containing a K3,3-subdivision are not decided: the verdict is
-    NotInClass and carries the witness.
+    NotInClass and carries the witness.  ``tk5s`` is a pool of TK5s from
+    related graphs, passed to :func:`scan_block`; without it every block is
+    tested and extracted afresh.
     """
     scanned = []
     for block in blocks(g).blocks:
-        found = scan_block(block)
+        found = scan_block(block, tk5s)
         if isinstance(found, SubdivisionWitness):
             return ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=found)
         scanned.append((block, found))

@@ -16,17 +16,22 @@ from toroidal import (
     is_isomorphic,
     is_k33_free,
     is_topological_obstruction,
+    kuratowski_witness,
     make_g4,
+    to_graph6,
     verify_minor_obstruction,
     verify_topological_obstruction,
 )
+from toroidal import structure
 from toroidal.obstructions import (
     MINOR_OBSTRUCTION_NAMES,
     MINOR_ORDER,
     REFERENCE,
     TOPOLOGICAL_OBSTRUCTION_NAMES,
     TOPOLOGICAL_ONLY,
+    _split_orbits,
 )
+from toroidal.isomorphism import automorphism_generators
 
 from conftest import two_k5s_shared_vertex
 
@@ -129,16 +134,27 @@ def test_split_validation():
 
 def test_split_class_check_agrees_with_minor_search():
     # splitting the shared vertex of G2 can create a K3,3; the class gate
-    # must agree with the independent brute-force minor search either way
+    # must agree with the independent brute-force minor search either way.
+    # An automorphism of G2 maps one split's child isomorphically onto the
+    # other's, and a K3,3 minor is an isomorphism invariant, so the minor
+    # search runs once per split orbit while the gate runs on every child.
     from toroidal import find_minor
 
     k33 = Graph.complete_bipartite(3, 3)
     g = builtin("G2")
+    first = set(list(all_splits(g))[:60])
+    orbits = [
+        [op for op in orbit if op in first]
+        for orbit in _split_orbits(g, automorphism_generators(g))
+    ]
+    orbits = [orbit for orbit in orbits if orbit]
+    assert sum(len(orbit) for orbit in orbits) == 60
     seen_nonfree = False
-    for op in list(all_splits(g))[:60]:
-        child = apply_split(g, op)
-        free = is_k33_free(child)
-        assert free == (find_minor(child, k33) is None)
+    for orbit in orbits:
+        frees = {is_k33_free(apply_split(g, op)) for op in orbit}
+        assert len(frees) == 1
+        (free,) = frees
+        assert free == (find_minor(apply_split(g, orbit[0]), k33) is None)
         seen_nonfree = seen_nonfree or not free
     assert seen_nonfree
 
@@ -161,3 +177,97 @@ def test_is_topological_obstruction_quick_paths(k4, mgraph):
 def test_all_catalog_obstructions_nontoroidal():
     for name in TOPOLOGICAL_OBSTRUCTION_NAMES:
         assert decide_toroidal(builtin(name)).status == "NonToroidal"
+
+
+# -- families reuse their parent's work --------------------------------------
+
+# enumerate_splits(G1..G4) as captured before split orbits and TK5 pools
+SPLITS_G1_TO_G4 = [
+    "H^~CKMF", "H~}CKMF", "I~{?GKF@w", "I^|?GKF`w", "Ij[CKMFn?", "Ij]CKMFm?",
+    "In{CKMFh?", "Jj[?GMFmCM?", "Jn{?GKFhCF?", "J^~EMN?oM@_", "Kn{?GKFH?FOB",
+]
+
+
+@pytest.fixture(scope="module")
+def splits_g1_to_g4():
+    return enumerate_splits([builtin(name) for name in MINOR_OBSTRUCTION_NAMES])
+
+
+def test_enumerate_splits_output_is_pinned(splits_g1_to_g4):
+    assert [to_graph6(g) for g in splits_g1_to_g4] == SPLITS_G1_TO_G4
+
+
+@pytest.mark.parametrize("name", TOPOLOGICAL_OBSTRUCTION_NAMES)
+def test_automorphism_generators_preserve_edges(name):
+    g = builtin(name)
+    generators = automorphism_generators(g)
+    assert generators
+    for p in generators:
+        assert sorted(p) == sorted(p.values()) == list(g.vertices)
+        assert {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == set(g.edges)
+
+
+def test_split_orbit_representatives_cover_every_split_child(splits_g1_to_g4):
+    children = classes = 0
+    for g in splits_g1_to_g4:
+        ops = list(all_splits(g))
+        orbits = _split_orbits(g, automorphism_generators(g))
+        position = {op: i for i, op in enumerate(ops)}
+        flat = [position[op] for orbit in orbits for op in orbit]
+        assert sorted(flat) == list(range(len(ops)))
+        # each orbit starts with its first member in all_splits order
+        starts = [min(position[op] for op in orbit) for orbit in orbits]
+        assert [position[orbit[0]] for orbit in orbits] == starts == sorted(starts)
+        every = {canonical_form(apply_split(g, op)) for op in ops}
+        assert {canonical_form(apply_split(g, orbit[0])) for orbit in orbits} == every
+        children += len(ops)
+        classes += len(orbits)
+    assert (children, classes) == (1099, 94)
+
+
+def test_minor_statuses_match_fresh_decisions():
+    for name in TOPOLOGICAL_OBSTRUCTION_NAMES:
+        g = builtin(name)
+        report = verify_minor_obstruction(g)
+        for d in report["deletions"]:
+            assert d["status"] == decide_toroidal(g.delete_edge(*d["edge"])).status
+        for c in report["contractions"]:
+            assert c["status"] == decide_toroidal(g.contract_edge(*c["edge"])).status
+
+
+def test_contracted_witness():
+    # K5 on 0..4 with its 0-1 edge subdivided by 5
+    g = Graph.complete(5).delete_edge(0, 1).add_edge(0, 5).add_edge(5, 1)
+    tk5 = kuratowski_witness(g)
+    assert tk5.pattern == "K5" and tk5.branch_paths[(0, 1)] == (0, 5, 1)
+    merged = tk5.contracted(0, 5)
+    merged.validate(g.contract_edge(0, 5))
+    assert merged.branch_paths[(0, 1)] == (0, 1)
+    assert merged.branch_paths[(2, 3)] == tk5.branch_paths[(2, 3)]
+    corners_merged = tk5.contracted(2, 3)
+    with pytest.raises(ValueError):
+        corners_merged.validate(g.contract_edge(2, 3))
+    assert not corners_merged.holds_in(g.contract_edge(2, 3))
+
+
+def test_reports_reuse_validated_extractions(monkeypatch):
+    graphs = [builtin(name) for name in TOPOLOGICAL_OBSTRUCTION_NAMES]
+    calls = []
+    extract = structure.kuratowski_witness
+    decompose = structure.decompose_by_corners
+
+    def counting(g):
+        calls.append(g)
+        return extract(g)
+
+    def checking(block, w):
+        # a pooled TK5 decomposes a block only once it validates there
+        w.validate(block)
+        return decompose(block, w)
+
+    monkeypatch.setattr(structure, "kuratowski_witness", counting)
+    monkeypatch.setattr(structure, "decompose_by_corners", checking)
+    for g in graphs:
+        verify_minor_obstruction(g)
+    # 583 extractions before the pool; the pool made 112
+    assert len(calls) < 583 / 2

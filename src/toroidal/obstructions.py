@@ -12,7 +12,8 @@ parent's work.  A graph and its single-edge deletions share one pool of
 TK5s, offered to each contraction mapped through the merge, so a block
 whose TK5 survives needs no new Kuratowski extraction.  The splits of a
 graph are applied one per orbit of its automorphisms, which come from the
-canonical search that labels it.
+canonical search that labels it, and each split child starts from its
+parent's pool mapped through the split.
 
 M and G4 are constructed from their defining recipes; the remaining
 catalog members are versioned graph6 data validated by the verifiers.
@@ -166,11 +167,15 @@ def verify_minor_obstruction(g: Graph) -> dict:
     return report
 
 
-def is_topological_obstruction(g: Graph) -> bool:
-    """Early-exit version of the topological report, for enumeration."""
+def is_topological_obstruction(g: Graph, tk5s: list | None = None) -> bool:
+    """Early-exit version of the topological report, for enumeration.
+
+    g and its deletions share the pool ``tk5s`` of TK5s, which may start
+    with TK5s of a related graph; every TK5 found here is added to it."""
     if not g.vertices or min(g.degree(v) for v in g.vertices) < 3:
         return False
-    tk5s: list = []
+    if tk5s is None:
+        tk5s = []
     if decide_toroidal(g, tk5s=tk5s).status != NON_TOROIDAL:
         return False
     for e in g.edges:
@@ -270,29 +275,39 @@ def enumerate_splits(
     has the canonical form of the first, which is by then accepted or
     rejected; the first split of each canonical form is still applied
     first, so the result is the same as splitting every way.
+
+    Each child starts from the TK5s that its parent and the parent's
+    deletions found, mapped through the split
+    (:meth:`~toroidal.subdivisions.SubdivisionWitness.split`).  A mapped
+    TK5 is used only where it validates, and no status depends on which
+    TK5 a decision uses.
     """
     accepted: dict[str, Graph] = {}
-    frontier: list[Graph] = []
+    frontier: list[tuple[Graph, list]] = []
     for seed in seeds:
         key = canonical_form(seed)
         if key in accepted:
             continue
-        if is_topological_obstruction(seed):
+        tk5s: list = []
+        if is_topological_obstruction(seed, tk5s):
             accepted[key] = seed.normalized()
-            frontier.append(seed)
+            frontier.append((seed, tk5s))
     rejected: set[str] = set()
     while frontier:
-        g = frontier.pop(0)
+        g, pool = frontier.pop(0)
         if g.n + 1 > ceiling:  # every split adds one vertex
             continue
+        new = max(g.vertices) + 1  # the label apply_split gives the new end
         for orbit in _split_orbits(g, automorphism_generators(g)):
-            child = apply_split(g, orbit[0])
+            op = orbit[0]
+            child = apply_split(g, op)
             key = canonical_form(child)
             if key in accepted or key in rejected:
                 continue
-            if is_topological_obstruction(child):
+            tk5s = [w.split(op.vertex, op.part_moved, new) for w in pool]
+            if is_topological_obstruction(child, tk5s):
                 accepted[key] = child.normalized()
-                frontier.append(child)
+                frontier.append((child, tk5s))
                 if log:
                     log(f"obstruction found: n={child.n} m={child.m}")
             else:

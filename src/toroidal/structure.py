@@ -281,6 +281,8 @@ def scan_block(
 
 def find_k33_subdivision(g: Graph) -> SubdivisionWitness | None:
     """A TK3,3 witness in g, or None when g is K3,3-free."""
+    if g.m < 9:  # a TK3,3 has at least K3,3's nine edges
+        return None
     for block in blocks(g).blocks:
         found = scan_block(block)
         if isinstance(found, SubdivisionWitness):

@@ -29,16 +29,23 @@ M_PATTERN = "M"
 SEARCH_BUDGET = 10_000_000
 
 
+# built once: Graph is immutable, and every witness validation asks for one
+_PATTERNS = {
+    K5_PATTERN: Graph.complete(5),
+    K33_PATTERN: Graph.complete_bipartite(3, 3),
+    M_PATTERN: Graph(
+        range(8),
+        list(itertools.combinations((0, 1, 2, 3, 4), 2))
+        + [e for e in itertools.combinations((0, 1, 5, 6, 7), 2) if e != (0, 1)],
+    ),
+}
+
+
 def pattern_graph(name: str) -> Graph:
-    if name == K5_PATTERN:
-        return Graph.complete(5)
-    if name == K33_PATTERN:
-        return Graph.complete_bipartite(3, 3)
-    if name == M_PATTERN:
-        edges = list(itertools.combinations((0, 1, 2, 3, 4), 2))
-        edges += [e for e in itertools.combinations((0, 1, 5, 6, 7), 2) if e != (0, 1)]
-        return Graph(range(8), edges)
-    raise GraphInputError(f"unknown pattern {name!r}")
+    try:
+        return _PATTERNS[name]
+    except KeyError:
+        raise GraphInputError(f"unknown pattern {name!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +99,43 @@ class SubdivisionWitness:
             self.pattern,
             {p: u if c == v else c for p, c in self.corner_map.items()},
             {key: merge(path) for key, path in self.branch_paths.items()},
+        )
+
+    def split(self, v: int, moved: frozenset[int], new: int) -> SubdivisionWitness:
+        """The image of this witness after v becomes the edge v-new and
+        its neighbours in ``moved`` go to new, as in
+        :func:`~toroidal.obstructions.apply_split`.  A path step x-v-y
+        passes through v, new, or both in the order of x's and y's sides.
+        A corner v goes to the side that holds most of its path
+        neighbours, and each path that leaves it toward the other side
+        gains the step v-new.  A corner split evenly has no image: two of
+        its paths would share that step, so the result does not
+        validate."""
+        ends = [
+            path[1] if path[0] == v else path[-2]
+            for path in self.branch_paths.values()
+            if v in (path[0], path[-1])
+        ]
+        home = new if 2 * sum(x in moved for x in ends) > len(ends) else v
+
+        def side(x: int) -> int:
+            return new if x in moved else v
+
+        def image(path):
+            out = []
+            for i, w in enumerate(path):
+                if w != v:
+                    out.append(w)
+                    continue
+                before = side(path[i - 1]) if i else home
+                after = side(path[i + 1]) if i + 1 < len(path) else home
+                out += (before, after) if before != after else (before,)
+            return tuple(out)
+
+        return SubdivisionWitness(
+            self.pattern,
+            {p: home if c == v else c for p, c in self.corner_map.items()},
+            {key: image(path) for key, path in self.branch_paths.items()},
         )
 
     def holds_in(self, g: Graph) -> bool:

@@ -5,6 +5,12 @@ import pytest
 
 from toroidal import Graph, builtin, m_graph
 
+# enumerate_splits(G1..G4) as captured before split orbits and TK5 pools
+SPLITS_G1_TO_G4 = [
+    "H^~CKMF", "H~}CKMF", "I~{?GKF@w", "I^|?GKF`w", "Ij[CKMFn?", "Ij]CKMFm?",
+    "In{CKMFh?", "Jj[?GMFmCM?", "Jn{?GKFhCF?", "J^~EMN?oM@_", "Kn{?GKFH?FOB",
+]
+
 PETERSEN = Graph(
     range(10),
     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6), (6, 8),

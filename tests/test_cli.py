@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from toroidal import Graph, builtin, decide_toroidal, to_edge_list_text, to_graph6
 from toroidal.cli import main
 
-from conftest import g3_with_k4s
+from conftest import SPLITS_G1_TO_G4, g3_with_k4s
 
 
 def run(capsys, *argv):
@@ -93,6 +96,16 @@ def test_splits_with_k5_seed_is_empty(capsys):
     code, out, _ = run(capsys, "splits", "--seeds", "K5", "--json")
     assert code == 0
     assert json.loads(out)["count"] == 0
+
+
+def test_splits_default_seeds_print_the_pinned_lines():
+    # through ``python -m toroidal``, with the package on the current path
+    done = subprocess.run(
+        [sys.executable, "-m", "toroidal", "splits", "--json"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert json.loads(done.stdout) == {"count": 11, "graphs": SPLITS_G1_TO_G4}
 
 
 def test_genus_k5(capsys):

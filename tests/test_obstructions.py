@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from toroidal import (
     Graph,
     GraphInputError,
     SplitOperation,
+    SubdivisionWitness,
     all_splits,
     apply_split,
     builtin,
@@ -33,7 +35,7 @@ from toroidal.obstructions import (
 )
 from toroidal.isomorphism import automorphism_generators
 
-from conftest import two_k5s_shared_vertex
+from conftest import SPLITS_G1_TO_G4, two_k5s_shared_vertex
 
 
 def test_catalog_loads_and_validates():
@@ -181,13 +183,6 @@ def test_all_catalog_obstructions_nontoroidal():
 
 # -- families reuse their parent's work --------------------------------------
 
-# enumerate_splits(G1..G4) as captured before split orbits and TK5 pools
-SPLITS_G1_TO_G4 = [
-    "H^~CKMF", "H~}CKMF", "I~{?GKF@w", "I^|?GKF`w", "Ij[CKMFn?", "Ij]CKMFm?",
-    "In{CKMFh?", "Jj[?GMFmCM?", "Jn{?GKFhCF?", "J^~EMN?oM@_", "Kn{?GKFH?FOB",
-]
-
-
 @pytest.fixture(scope="module")
 def splits_g1_to_g4():
     return enumerate_splits([builtin(name) for name in MINOR_OBSTRUCTION_NAMES])
@@ -271,3 +266,85 @@ def test_reports_reuse_validated_extractions(monkeypatch):
         verify_minor_obstruction(g)
     # 583 extractions before the pool; the pool made 112
     assert len(calls) < 583 / 2
+
+
+def _direct_k5(*subdivided):
+    """The TK5 of K5 on 0..4 whose branch paths are the edges themselves,
+    except the paths given as (corner, inner, corner)."""
+    paths = {e: e for e in itertools.combinations(range(5), 2)}
+    for path in subdivided:
+        paths[(path[0], path[-1])] = path
+    return SubdivisionWitness("K5", {i: i for i in range(5)}, paths)
+
+
+@pytest.mark.parametrize(
+    "moved, image",
+    [
+        ((6, 7), (0, 5, 1)),  # both path neighbours stay with 5
+        ((0, 1), (0, 8, 1)),  # both move to the new end
+        ((1, 6), (0, 5, 8, 1)),  # split: 0 stays, 1 moves
+        ((0, 6), (0, 8, 5, 1)),  # split the other way round
+    ],
+)
+def test_split_witness_through_an_inner_vertex(moved, image):
+    # K5 with its 0-1 edge subdivided by 5, which also has neighbours 6, 7
+    g = Graph(range(8), [e for e in Graph.complete(5).edges if e != (0, 1)]
+              + [(0, 5), (5, 1), (5, 6), (5, 7)])
+    tk5 = _direct_k5((0, 5, 1))
+    tk5.validate(g)
+    op = SplitOperation(5, frozenset(g.neighbors(5)) - set(moved), frozenset(moved))
+    child = apply_split(g, op)
+    assert max(child.vertices) == 8
+    split = tk5.split(5, op.part_moved, 8)
+    assert split.branch_paths[(0, 1)] == image
+    assert split.corner_map == tk5.corner_map
+    split.validate(child)
+
+
+@pytest.mark.parametrize(
+    "moved, home, paths",
+    [
+        # 4-0: the corner moves whole, its paths untouched but for the label
+        ((0, 1, 3, 4), 7, {(0, 2): (0, 7), (2, 3): (7, 3)}),
+        ((5, 6), 2, {(0, 2): (0, 2), (2, 3): (2, 3)}),
+        # 3-1: the corner goes with three paths, the fourth gains 2-7
+        ((0, 1, 3, 6), 7, {(0, 2): (0, 7), (2, 4): (7, 2, 4)}),
+        ((4, 6), 2, {(2, 4): (2, 7, 4), (1, 2): (1, 2)}),
+    ],
+)
+def test_split_witness_through_a_corner(moved, home, paths):
+    # K5 on 0..4 whose corner 2 also has neighbours 5, 6
+    g = Graph.complete(5).add_edge(2, 5).add_edge(2, 6)
+    tk5 = _direct_k5()
+    op = SplitOperation(2, frozenset(g.neighbors(2)) - set(moved), frozenset(moved))
+    child = apply_split(g, op)
+    split = tk5.split(2, op.part_moved, 7)
+    assert split.corner_map[2] == home
+    for key, path in paths.items():
+        assert split.branch_paths[key] == path
+    split.validate(child)
+
+
+def test_split_witness_through_an_even_corner_has_no_image():
+    g = Graph.complete(5)
+    op = SplitOperation(2, frozenset({0, 1}), frozenset({3, 4}))
+    split = _direct_k5().split(2, op.part_moved, 5)
+    # both paths toward the minority would run through 2-5
+    assert split.branch_paths[(2, 3)] == (2, 5, 3)
+    assert split.branch_paths[(2, 4)] == (2, 5, 4)
+    assert not split.holds_in(apply_split(g, op))
+
+
+def test_split_children_reuse_their_parent_pool(monkeypatch):
+    calls = []
+    extract = structure.kuratowski_witness
+
+    def counting(g):
+        calls.append(g)
+        return extract(g)
+
+    monkeypatch.setattr(structure, "kuratowski_witness", counting)
+    found = enumerate_splits([builtin(name) for name in MINOR_OBSTRUCTION_NAMES])
+    assert [to_graph6(g) for g in found] == SPLITS_G1_TO_G4
+    # 214 extractions with an empty pool per child; 120 with the mapped pool
+    assert len(calls) < 160

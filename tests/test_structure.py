@@ -180,6 +180,14 @@ def test_k33_witness_extraction(k33):
     assert find_k33_subdivision(Graph.complete(4)) is None
 
 
+def test_k33_scan_starts_at_nine_edges(k33):
+    # graphs below nine edges skip the scan; K3,3 itself is at the boundary
+    w = find_k33_subdivision(k33)
+    assert w is not None and w.pattern == "K3,3"
+    w.validate(k33)
+    assert find_k33_subdivision(k33.delete_edge(0, 3)) is None
+
+
 def test_k33_free_agrees_with_minor_search_small():
     k33 = Graph.complete_bipartite(3, 3)
     for g in all_labeled_graphs(5):

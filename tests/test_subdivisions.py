@@ -27,6 +27,13 @@ def test_pattern_graphs():
     assert m.degree_sequence() == (7, 7, 4, 4, 4, 4, 4, 4)
 
 
+def test_pattern_graphs_are_built_once():
+    for name in ("K5", "K3,3", "M"):
+        assert pattern_graph(name) is pattern_graph(name)
+    with pytest.raises(GraphInputError):
+        pattern_graph("K7")
+
+
 def test_subdivided_k5_contains_tk5(k5):
     g = k5
     for e in list(g.edges):

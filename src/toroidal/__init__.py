@@ -14,7 +14,6 @@ from .errors import (
     GenusBudgetExceeded,
     GraphInputError,
     InternalError,
-    K33Found,
     SearchBudgetExceeded,
 )
 from .genus import (

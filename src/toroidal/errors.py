@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A TK3,3 found while deciding is a result, not an error: the corner-set
+decomposition returns its bad bridge, and the decision reports NotInClass
+with the witness built from it.
+"""
 
 
 class GraphInputError(ValueError):
@@ -14,13 +19,6 @@ class ClassViolationError(Exception):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class K33Found(ClassViolationError):
-    """Raised by the corner-set decomposition when a bridge proves the
-    host graph contains a K3,3-subdivision (three or more corners on one
-    bridge, or a bridge spanning a non-adjacent corner pair of an M
-    pattern)."""
 
 
 class CertificateError(Exception):

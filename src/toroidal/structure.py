@@ -2,13 +2,14 @@
 
 A 2-connected graph with a TK5 and no TK3,3 decomposes into bridges of the
 corner set, each spanning exactly two corners; bridges sharing a corner
-pair form a side component.  A bridge touching three or more corners (or a
-non-adjacent corner pair of an M pattern) certifies a K3,3-subdivision
-instead, and one is built from it.  :func:`scan_block` makes one recursive
-pass over a block: it either finds a TK3,3 or returns the decomposition
-that the toroidality decision starts from, so the class gate and the
-decision share one Kuratowski extraction per block.  Across a family of
-related graphs, a pool of TK5s saves even that where one of them validates.
+pair form a side component.  A bad bridge, one touching three or more
+corners (or a non-adjacent corner pair of an M pattern), is returned in
+place of the decomposition: it certifies a K3,3-subdivision, and for a TK5
+one is built from it.  :func:`scan_block` makes one recursive pass over a
+block: it either finds a TK3,3 or returns the decomposition that the
+toroidality decision starts from, so the class gate and the decision share
+one Kuratowski extraction per block.  Across a family of related graphs, a
+pool of TK5s saves even that where one of them validates.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import GraphInputError, InternalError, K33Found
+from .errors import GraphInputError, InternalError
 from .graphs import BridgeOf, Graph, blocks, bridges_of
 from .planarity import is_planar, kuratowski_witness
 from .subdivisions import (
@@ -42,7 +43,6 @@ class SideComponent:
     """Union of all bridges spanning one fixed pair of corners."""
 
     corners: tuple[int, int]
-    pattern_edge: tuple[int, int]
     subgraph: Graph
     augmented: Graph
 
@@ -54,7 +54,6 @@ class SideComponent:
 @dataclass(frozen=True, eq=False)
 class SideDecomposition:
     witness: SubdivisionWitness
-    corner_set: frozenset[int]
     components: tuple[SideComponent, ...]
 
     def component(self, a: int, b: int) -> SideComponent:
@@ -106,25 +105,20 @@ def _segment(path: tuple[int, ...], x: int, end: int) -> tuple[int, ...]:
 def _k33_from_bad_bridge(
     g: Graph, w: SubdivisionWitness, bridge: BridgeOf
 ) -> SubdivisionWitness:
-    """A TK3,3 through a bridge of the corner set of ``w`` that spans three
-    or more corners (or, for an M pattern, a non-adjacent corner pair).
+    """A TK3,3 through a bridge of the corner set of the TK5 ``w`` that
+    spans three or more corners; it is built, never searched for.
 
-    For a TK5 it is built, never searched for.  A bridge holding no interior
-    vertex of a branch path holds a tripod: its internal vertices are
-    connected, so a path from corner a to corner b through them, and a path
-    from corner c to that path's interior, meet at a centre z, giving
-    {a,b,c}|{z,d,e}.  Otherwise let P_ab be a branch path whose interior lies
-    in the bridge.  A path Q from some x inside P_ab through vertices off the
-    TK5 reaches a first TK5 vertex y off P_ab (there is one, as the bridge
-    also attaches at a third corner).  If y is a corner c, or lies inside
-    P_ac, this gives {a,b,c}|{x,d,e}, c's leg running Q and then y..c; if y
-    lies inside P_cd, it gives {a,b,y}|{x,c,d}.
+    A bridge holding no interior vertex of a branch path holds a tripod:
+    its internal vertices are connected, so a path from corner a to corner
+    b through them, and a path from corner c to that path's interior, meet
+    at a centre z, giving {a,b,c}|{z,d,e}.  Otherwise let P_ab be a branch
+    path whose interior lies in the bridge.  A path Q from some x inside
+    P_ab through vertices off the TK5 reaches a first TK5 vertex y off P_ab
+    (there is one, as the bridge also attaches at a third corner).  If y is
+    a corner c, or lies inside P_ac, this gives {a,b,c}|{x,d,e}, c's leg
+    running Q and then y..c; if y lies inside P_cd, it gives
+    {a,b,y}|{x,c,d}.
     """
-    if w.pattern == M_PATTERN:
-        witness = find_k33_subdivision(g)
-        if witness is None:
-            raise InternalError("a bad bridge of a TM in a K3,3-free host")
-        return witness
     inv = {v: p for p, v in w.corner_map.items()}
     bg = bridge.as_graph()
     hosted = [
@@ -179,12 +173,13 @@ def _k33_from_bad_bridge(
     return witness
 
 
-def decompose_by_corners(g: Graph, w: SubdivisionWitness) -> SideDecomposition:
-    """Split a 2-connected host into side components of a TK5 or TM.
-
-    Raises :class:`K33Found`, carrying a TK3,3 witness, when some bridge of
-    the corner set spans three or more corners (or a non-adjacent corner
-    pair, for M patterns).
+def decompose_by_corners(
+    g: Graph, w: SubdivisionWitness
+) -> SideDecomposition | BridgeOf:
+    """Split a 2-connected host into side components of a TK5 or TM, or
+    return the first bad bridge of the corner set: one that spans three or
+    more corners, or a non-adjacent corner pair of an M pattern.  A bad
+    bridge proves that the host has a K3,3-subdivision.
     """
     if w.pattern not in (K5_PATTERN, M_PATTERN):
         raise GraphInputError(f"cannot decompose by a {w.pattern} witness")
@@ -194,21 +189,13 @@ def decompose_by_corners(g: Graph, w: SubdivisionWitness) -> SideDecomposition:
     groups: dict[tuple[int, int], list[BridgeOf]] = {}
     for bridge in bridges_of(g, corners):
         att = sorted(bridge.attachments)
-        if len(att) >= 3:
-            raise K33Found(
-                f"bridge spans corners {att}",
-                witness=_k33_from_bad_bridge(g, w, bridge),
-            )
         if len(att) < 2:
             raise GraphInputError(
                 "bridge with fewer than two attachments: host is not 2-connected"
             )
+        if len(att) >= 3 or not pat.has_edge(inv[att[0]], inv[att[1]]):
+            return bridge
         a, b = att
-        if not pat.has_edge(inv[a], inv[b]):
-            raise K33Found(
-                f"bridge spans non-adjacent corner pair {att}",
-                witness=_k33_from_bad_bridge(g, w, bridge),
-            )
         groups.setdefault((a, b), []).append(bridge)
 
     components = []
@@ -224,17 +211,10 @@ def decompose_by_corners(g: Graph, w: SubdivisionWitness) -> SideDecomposition:
             vs |= br.internal | br.attachments
             es |= br.edges
         sub = Graph(vs, es)
-        components.append(
-            SideComponent(
-                corners=(a, b),
-                pattern_edge=pe,
-                subgraph=sub,
-                augmented=sub.add_edge(a, b),
-            )
-        )
+        components.append(SideComponent((a, b), sub, sub.add_edge(a, b)))
     if groups:
         raise InternalError(f"bridges on corner pairs {sorted(groups)} outside the pattern")
-    return SideDecomposition(w, frozenset(corners), tuple(components))
+    return SideDecomposition(w, tuple(components))
 
 
 def is_special(sc: SideComponent) -> bool:
@@ -268,10 +248,9 @@ def scan_block(
             return w
         if tk5s is not None:
             tk5s.append(w)
-    try:
-        dec = decompose_by_corners(block, w)
-    except K33Found as exc:
-        return exc.witness
+    dec = decompose_by_corners(block, w)
+    if isinstance(dec, BridgeOf):
+        return _k33_from_bad_bridge(block, w, dec)
     for sc in dec.components:
         inner = find_k33_subdivision(sc.augmented)
         if inner is not None:
@@ -303,7 +282,7 @@ def _lift_through_augmentation(
     b: int,
 ) -> SubdivisionWitness:
     """Replace a use of the artificial corner edge ab in ``inner`` by a
-    detour through a third corner of the outer witness."""
+    detour through a third corner of the outer TK5, which meets both."""
     uses_ab = None
     for key, path in inner.branch_paths.items():
         for i in range(len(path) - 1):
@@ -315,24 +294,15 @@ def _lift_through_augmentation(
     if uses_ab is None or g.has_edge(a, b):
         return inner  # the witness uses no artificial edge
 
-    pat = outer.pattern_graph()
     inv = {v: p for p, v in outer.corner_map.items()}
-    pa, pb = inv[a], inv[b]
-    detour = None
-    for c in sorted(outer.corners):
-        pc = inv[c]
-        if c in (a, b) or not (pat.has_edge(pa, pc) and pat.has_edge(pc, pb)):
-            continue
-        p1 = outer.branch_paths[tuple(sorted((pa, pc)))]
-        if p1[0] != a:
-            p1 = tuple(reversed(p1))
-        p2 = outer.branch_paths[tuple(sorted((pc, pb)))]
-        if p2[0] != c:
-            p2 = tuple(reversed(p2))
-        detour = p1 + p2[1:]  # a .. c .. b
-        break
-    if detour is None:
-        raise InternalError("no detour corner available for witness lifting")
+    c = min(outer.corners - {a, b})
+    p1 = outer.branch_paths[tuple(sorted((inv[a], inv[c])))]
+    if p1[0] != a:
+        p1 = p1[::-1]
+    p2 = outer.branch_paths[tuple(sorted((inv[c], inv[b])))]
+    if p2[0] != c:
+        p2 = p2[::-1]
+    detour = p1 + p2[1:]  # a .. c .. b
 
     key, i = uses_ab
     path = inner.branch_paths[key]

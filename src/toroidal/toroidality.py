@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .errors import CertificateError, GraphInputError, InternalError, K33Found
+from .errors import CertificateError, GraphInputError, InternalError
 from .graphs import Graph, blocks
 from .planarity import is_planar
 from .structure import (
@@ -85,48 +85,31 @@ class ToroidalityVerdict:
         return self.status == TOROIDAL
 
     def to_payload(self) -> dict:
-        out: dict = {"status": self.status, "case": self.case}
-        if self.block_index is not None:
-            out["block_index"] = self.block_index
-        if self.nonplanar_blocks:
-            out["nonplanar_blocks"] = list(self.nonplanar_blocks)
-        if self.tk5 is not None:
-            out["tk5"] = _witness_payload(self.tk5)
-        if self.components:
-            out["components"] = [_component_payload(c) for c in self.components]
-        if self.bad_components:
-            out["bad_components"] = [list(c) for c in self.bad_components]
-        if self.special_corners is not None:
-            out["special_corners"] = list(self.special_corners)
-        if self.tm is not None:
-            out["tm"] = _witness_payload(self.tm)
-        if self.m_components:
-            out["m_components"] = [_component_payload(c) for c in self.m_components]
-        if self.k33 is not None:
-            out["k33"] = _witness_payload(self.k33)
-        return out
+        """Every set field, in field order, as plain JSON data."""
+        return {k: _plain(x) for k, x in vars(self).items() if _is_set(x)}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_payload(), indent=indent, sort_keys=True)
 
 
-def _witness_payload(w: SubdivisionWitness) -> dict:
-    return {
-        "pattern": w.pattern,
-        "corners": {str(p): v for p, v in sorted(w.corner_map.items())},
-        "paths": {f"{p},{q}": list(path) for (p, q), path in sorted(w.branch_paths.items())},
-    }
+def _is_set(x) -> bool:
+    return x is not None and x != ()
 
 
-def _component_payload(c: ComponentReport) -> dict:
-    return {
-        "corners": list(c.corners),
-        "vertices": c.vertices,
-        "edges": c.edges,
-        "corner_edge_present": c.corner_edge_present,
-        "planar": c.planar,
-        "augmented_planar": c.augmented_planar,
-    }
+def _plain(x):
+    """A certificate value as JSON data: a witness as its pattern, corners
+    and paths, a report as its fields, a tuple as a list."""
+    if isinstance(x, SubdivisionWitness):
+        return {
+            "pattern": x.pattern,
+            "corners": {str(p): v for p, v in sorted(x.corner_map.items())},
+            "paths": {f"{p},{q}": list(path) for (p, q), path in sorted(x.branch_paths.items())},
+        }
+    if isinstance(x, ComponentReport):  # its fields are ints, bools and a pair
+        return {k: list(y) if isinstance(y, tuple) else y for k, y in vars(x).items()}
+    if isinstance(x, tuple):
+        return [_plain(y) for y in x]
+    return x
 
 
 def _report(sc: SideComponent) -> ComponentReport:
@@ -281,12 +264,29 @@ def decide_toroidal(
     return replace(block_verdict, block_index=index, nonplanar_blocks=nonplanar)
 
 
+# the fields each case sets besides status and case; replay requires
+# exactly these, so that no claim rides along unchecked
+_ONE_BLOCK = {"block_index", "nonplanar_blocks", "tk5", "components"}
+_CASE_FIELDS = {
+    CASE_NOT_IN_CLASS: {"k33"},
+    CASE_ALL_PLANAR_BLOCKS: set(),
+    CASE_TWO_NONPLANAR_BLOCKS: {"nonplanar_blocks"},
+    CASE_I: _ONE_BLOCK,
+    CASE_TWO_NONPLANAR_AUGMENTED: _ONE_BLOCK | {"bad_components"},
+    CASE_II: _ONE_BLOCK | {"special_corners"},
+    CASE_NO_VALID_M: _ONE_BLOCK | {"bad_components"},
+    CASE_III: _ONE_BLOCK | {"tm", "m_components"},
+    CASE_FAILED_M: _ONE_BLOCK | {"bad_components", "tm", "m_components"},
+}
+
+
 def verify_certificate(g: Graph, verdict: ToroidalityVerdict) -> bool:
-    """Replay every planarity/speciality claim of a certificate."""
+    """Replay every claim of a certificate: its fields, and each planarity
+    and speciality claim."""
     try:
         _verify_certificate(g, verdict)
         return True
-    except (CertificateError, ValueError, KeyError, GraphInputError, K33Found):
+    except (CertificateError, ValueError, KeyError):
         return False
 
 
@@ -296,27 +296,27 @@ def _require(condition: bool, claim: str) -> None:
         raise CertificateError(f"certificate claim fails: {claim}")
 
 
-def _check_reports(dec: SideDecomposition, reports) -> None:
-    by_corners = {sc.corners: sc for sc in dec.components}
-    _require(len(reports) == len(dec.components), "one report per side component")
-    for r in reports:
-        sc = by_corners.get(r.corners)
-        _require(
-            sc is not None
-            and (sc.subgraph.n, sc.subgraph.m) == (r.vertices, r.edges)
-            and sc.corner_edge_present == r.corner_edge_present
-            and is_planar(sc.subgraph) == r.planar
-            and is_planar(sc.augmented) == r.augmented_planar,
-            f"the report on side component {r.corners}",
-        )
+def _check_side_components(
+    block: Graph, w: SubdivisionWitness, reports
+) -> SideDecomposition:
+    """Validate w in the block and check the reports on its side
+    components."""
+    w.validate(block)
+    dec = decompose_by_corners(block, w)
+    _require(isinstance(dec, SideDecomposition), "no bad bridge of the corners")
+    _require(
+        tuple(map(_report, dec.components)) == tuple(reports),
+        f"the reports on the side components of the {w.pattern}",
+    )
+    return dec
 
 
 def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
+    fields = {k for k, x in vars(v).items() if _is_set(x)} - {"status", "case"}
+    _require(fields == _CASE_FIELDS.get(v.case), f"exactly the fields of case {v.case}")
     if v.case == CASE_NOT_IN_CLASS:
         _require(v.status == NOT_IN_CLASS, "status NotInClass")
-        _require(
-            v.k33 is not None and v.k33.pattern == K33_PATTERN, "a TK3,3 witness"
-        )
+        _require(v.k33.pattern == K33_PATTERN, "a TK3,3 witness")
         v.k33.validate(g)
         return
     decomposition = blocks(g)
@@ -334,14 +334,12 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
         )
         return
     _require(
-        v.block_index is not None and nonplanar == (v.block_index,),
+        nonplanar == (v.block_index,) == v.nonplanar_blocks,
         "exactly one non-planar block",
     )
     block = decomposition.blocks[v.block_index]
-    _require(v.tk5 is not None and v.tk5.pattern == K5_PATTERN, "a TK5 witness")
-    v.tk5.validate(block)
-    dec = decompose_by_corners(block, v.tk5)
-    _check_reports(dec, v.components)
+    _require(v.tk5.pattern == K5_PATTERN, "a TK5 witness")
+    dec = _check_side_components(block, v.tk5, v.components)
     bad = tuple(r.corners for r in v.components if not r.augmented_planar)
     if v.case == CASE_I:
         _require(v.status == TOROIDAL and not bad, "every augmented component planar")
@@ -349,7 +347,7 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     if v.case == CASE_TWO_NONPLANAR_AUGMENTED:
         _require(v.status == NON_TOROIDAL, "status NonToroidal")
         _require(
-            set(v.bad_components) == set(bad) and len(bad) >= 2,
+            v.bad_components == bad and len(bad) >= 2,
             "two or more non-planar augmented components",
         )
         return
@@ -363,6 +361,7 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     _require(not is_planar(f.subgraph), "the component is non-planar")
     if v.case == CASE_NO_VALID_M:
         _require(v.status == NON_TOROIDAL, "status NonToroidal")
+        _require(v.bad_components == (f.corners,), "the non-planar component")
         a, b = f.corners
         _require(
             find_subdivision(f.subgraph, K5_PATTERN, require_corners={0: a, 1: b})
@@ -370,10 +369,8 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
             "no TK5 in the component pinned at its corners",
         )
         return
-    _require(v.tm is not None and v.tm.pattern == M_PATTERN, "a TM witness")
-    v.tm.validate(block)
-    mdec = decompose_by_corners(block, v.tm)
-    _check_reports(mdec, v.m_components)
+    _require(v.tm.pattern == M_PATTERN, "a TM witness")
+    _check_side_components(block, v.tm, v.m_components)
     m_bad = tuple(r.corners for r in v.m_components if not r.augmented_planar)
     if v.case == CASE_III:
         _require(
@@ -381,11 +378,8 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
             "every augmented M-side component planar",
         )
         return
-    if v.case == CASE_FAILED_M:
-        _require(v.status == NON_TOROIDAL, "status NonToroidal")
-        _require(
-            set(v.bad_components) == set(m_bad) and bool(m_bad),
-            "the non-planar augmented M-side components",
-        )
-        return
-    raise CertificateError(f"unknown certificate case {v.case}")
+    _require(v.status == NON_TOROIDAL, "status NonToroidal")
+    _require(
+        v.bad_components == m_bad and bool(m_bad),
+        "the non-planar augmented M-side components",
+    )

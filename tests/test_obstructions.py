@@ -19,6 +19,7 @@ from toroidal import (
     is_k33_free,
     is_topological_obstruction,
     kuratowski_witness,
+    m_graph,
     make_g4,
     to_graph6,
     verify_minor_obstruction,
@@ -40,10 +41,17 @@ from conftest import SPLITS_G1_TO_G4, two_k5s_shared_vertex
 
 def test_catalog_loads_and_validates():
     cat = catalog()
+    assert len(cat) == 14
     assert set(MINOR_OBSTRUCTION_NAMES) <= set(cat)
     assert set(TOPOLOGICAL_OBSTRUCTION_NAMES) <= set(cat)
-    for rec in cat.values():
-        rec.validate()
+    for name, rec in cat.items():
+        assert rec.name == name
+        assert min(rec.graph.degree(v) for v in rec.graph.vertices) >= 3
+        if name.startswith("G"):
+            assert is_k33_free(rec.graph)
+    # the stored M and G4 are their constructions, labels included
+    assert builtin("M") == m_graph()
+    assert builtin("G4") == make_g4()
     kinds = {rec.name: rec.kind for rec in cat.values()}
     assert kinds["K5"] == kinds["M"] == kinds["K3,3"] == REFERENCE
     assert all(kinds[n] == MINOR_ORDER for n in MINOR_OBSTRUCTION_NAMES)

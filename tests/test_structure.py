@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from toroidal import (
+    BridgeOf,
     Graph,
-    K33Found,
     SideComponent,
     all_splits,
     apply_split,
@@ -20,6 +20,7 @@ from toroidal import (
     is_planar,
     is_special,
 )
+from toroidal.structure import scan_block
 
 from conftest import all_labeled_graphs, atlas_graphs, random_graph, subdivide_edge
 
@@ -75,10 +76,11 @@ def test_bridge_with_three_corners_raises_k33(k5, shape, monkeypatch):
     g = Graph(list(tk5_host.vertices) + [9], list(tk5_host.edges) + path)
     tk5 = find_k5_subdivision(tk5_host)
     forbid_exhaustive_search(monkeypatch)
-    with pytest.raises(K33Found) as exc:
-        decompose_by_corners(g, tk5)
-    exc.value.witness.validate(g)
-    assert exc.value.witness.pattern == "K3,3"
+    bridge = decompose_by_corners(g, tk5)
+    assert isinstance(bridge, BridgeOf) and len(bridge.attachments) >= 3
+    witness = scan_block(g, [tk5])
+    assert witness.pattern == "K3,3"
+    witness.validate(g)
     find_k33_subdivision(g).validate(g)
 
 
@@ -129,9 +131,9 @@ def test_nonadjacent_m_corner_bridge_raises_k33(mgraph):
     # vertices 2 and 5 are in different triangles, so not adjacent in M
     g = Graph(list(mgraph.vertices) + [8], list(mgraph.edges) + [(8, 2), (8, 5)])
     w = find_subdivision(mgraph, "M")
-    with pytest.raises(K33Found) as exc:
-        decompose_by_corners(g, w)
-    exc.value.witness.validate(g)
+    bridge = decompose_by_corners(g, w)
+    assert isinstance(bridge, BridgeOf) and bridge.attachments == {2, 5}
+    find_k33_subdivision(g).validate(g)
 
 
 def test_decomposition_partitions_host_edges(k5, mgraph, g4):
@@ -146,20 +148,20 @@ def test_decomposition_partitions_host_edges(k5, mgraph, g4):
 
 def test_is_special_on_k5_minus_edge(k5):
     sub = k5.delete_edge(0, 1)
-    sc = SideComponent((0, 1), (0, 1), sub, sub.add_edge(0, 1))
+    sc = SideComponent((0, 1), sub, sub.add_edge(0, 1))
     assert is_special(sc)
 
 
 def test_is_special_rejects_present_edge_and_planar_augmentation():
     edge = Graph((), [(0, 1)])
-    assert not is_special(SideComponent((0, 1), (0, 1), edge, edge))
+    assert not is_special(SideComponent((0, 1), edge, edge))
     p = Graph((), [(0, 9), (9, 1)])
-    assert not is_special(SideComponent((0, 1), (0, 1), p, p.add_edge(0, 1)))
+    assert not is_special(SideComponent((0, 1), p, p.add_edge(0, 1)))
 
 
 def test_special_component_augmentation_has_tk5_through_corners(k5):
     sub = k5.delete_edge(0, 1)
-    sc = SideComponent((0, 1), (0, 1), sub, sub.add_edge(0, 1))
+    sc = SideComponent((0, 1), sub, sub.add_edge(0, 1))
     assert is_special(sc)
     w = find_subdivision(sc.augmented, "K5", require_corners={0: 0, 1: 1})
     assert w is not None and {0, 1} <= set(w.corners)

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from toroidal import (
     decompose_by_corners,
     find_k5_subdivision,
     find_subdivision,
+    from_graph6,
     has_minor,
     is_planar,
     verify_certificate,
@@ -112,8 +116,6 @@ def test_two_nonplanar_augmented_is_nontoroidal_with_forbidden_minor(k5):
 
 def test_two_nonplanar_augmented_certificate_path(k5):
     # build the certificate from the central TK5 by hand and replay it
-    import dataclasses
-
     from toroidal.toroidality import ComponentReport
 
     g = two_piece_graph(k5)
@@ -310,8 +312,6 @@ def test_certificates_on_random_graphs():
 
 
 def test_verdict_json_roundtrip(k5, g4):
-    import json
-
     for g in (k5, g4):
         v = decide_toroidal(g)
         payload = v.to_payload()
@@ -319,8 +319,6 @@ def test_verdict_json_roundtrip(k5, g4):
 
 
 def test_certificate_verification_rejects_tampering(k5):
-    import dataclasses
-
     v = decide_toroidal(k5)
     bad = dataclasses.replace(v, case=CASE_II, special_corners=(0, 1))
     assert not verify_certificate(k5, bad)
@@ -354,3 +352,51 @@ print(verify_certificate(k5, v),
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["True", "False", "False"]
+
+
+PAYLOADS_BY_CASE = Path(__file__).resolve().parent / "data" / "payloads_by_case.json"
+
+
+def test_payload_of_each_case_is_pinned():
+    # one verdict per case, captured from the per-field serializer that the
+    # one payload rule replaced; json.dumps also compares the key order
+    pinned = json.loads(PAYLOADS_BY_CASE.read_text(encoding="utf-8"))
+    assert len(pinned) == 9
+    for case, entry in pinned.items():
+        v = decide_toroidal(from_graph6(entry["graph6"]))
+        assert v.case == case
+        assert json.dumps(v.to_payload()) == json.dumps(entry["payload"])
+
+
+# forged fields on a valid certificate: (graph, changes to its verdict)
+FORGERIES = {
+    "three-nonplanar-blocks": ("K5", lambda v: {"nonplanar_blocks": (0, 3, 7)}),
+    "no-nonplanar-blocks": ("K5", lambda v: {"nonplanar_blocks": ()}),
+    "added-special-corners": ("K5", lambda v: {"special_corners": (0, 1)}),
+    "added-bad-components": ("K5", lambda v: {"bad_components": ((0, 1),)}),
+    "added-k33": (
+        "K5",
+        lambda v: {"k33": decide_toroidal(Graph.complete_bipartite(3, 3)).k33},
+    ),
+    "NoValidM-bad-component-off-f": (
+        "G3",
+        lambda v: {
+            "bad_components": (
+                next(r.corners for r in v.components if r.augmented_planar),
+            )
+        },
+    ),
+    "NoValidM-bad-component-twice": (
+        "G3",
+        lambda v: {"bad_components": v.bad_components * 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_replay_rejects_a_forged_field(forgery):
+    name, changes = FORGERIES[forgery]
+    g = builtin(name)
+    v = decide_toroidal(g)
+    assert verify_certificate(g, v)
+    assert not verify_certificate(g, dataclasses.replace(v, **changes(v)))

@@ -16,7 +16,7 @@ seeds = [builtin(n) for n in ("G1", "G2", "G3", "G4")]
 names = {canonical_form(builtin(f"G{i}")): f"G{i}" for i in range(1, 12)}
 
 started = time.time()
-closure = enumerate_splits(seeds, log=lambda msg: print(f"  {msg}"))
+closure = enumerate_splits(seeds)
 print(f"\nclosure finished in {time.time() - started:.1f}s with {len(closure)} graphs:")
 for g in closure:
     name = names.get(canonical_form(g), "NEW?!")

@@ -41,7 +41,7 @@ print(f"  TM corners {sorted(tm.corners)}, central pair "
       f"({tm.corner_map[0]}, {tm.corner_map[1]})")
 
 mdec = decompose_by_corners(g4, tm)
-central = mdec.central_component
+central = mdec.component(tm.corner_map[0], tm.corner_map[1])
 print(f"\nThe TM has {len(mdec.components)} side components; the central one has "
       f"{central.subgraph.n} vertices and {central.subgraph.m} edges")
 print(f"  central component planar: {is_planar(central.subgraph)}")

@@ -24,13 +24,10 @@ from .genus import (
     hill_climb_genus,
     k7_torus_rotation,
     min_genus_bruteforce,
-    rotation_from_text,
     rotation_space_size,
-    rotation_to_text,
     trace_faces,
 )
 from .graphs import (
-    BlockDecomposition,
     BridgeOf,
     Graph,
     blocks,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import re
 import sys
 from collections.abc import Callable
 from functools import partial
@@ -39,8 +39,6 @@ EXIT_INPUT = 1
 EXIT_CLASS = 2
 EXIT_BUDGET = 3
 
-BUDGET_ENV = "TOROIDAL_GENUS_BUDGET"
-
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -59,7 +57,8 @@ def _parse_graphs(
         parse, chunks = from_graph6, [l for l in text.splitlines() if l.strip()]
     elif fmt == "edgelist":
         parse = from_edge_list_text
-        chunks = [c for c in text.split("\n\n") if c.strip()]
+        # graphs are separated by lines that hold only whitespace
+        chunks = [c for c in re.split(r"\n\s*\n", text) if c.strip()]
     else:
         raise GraphInputError(f"unknown format {fmt!r}")
     return [(f"{label}:{i}", partial(parse, chunk)) for i, chunk in enumerate(chunks)]
@@ -78,20 +77,6 @@ def _gather_inputs(args) -> list[tuple[str, Callable[[], Graph]]]:
     if not graphs:
         raise GraphInputError("no graphs in input")
     return graphs
-
-
-def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise GraphInputError(
-            f"{BUDGET_ENV} must be an integer, not {env!r}"
-        ) from None
 
 
 def _answer_each(
@@ -184,14 +169,13 @@ def cmd_splits(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    budget = _budget(args)
     if args.count_torus:
         oracle, key = count_torus_embeddings, "torus_embeddings"
     else:
         oracle, key = min_genus_bruteforce, "genus"
 
     def answer(g: Graph) -> tuple[dict, str, int]:
-        value = oracle(g, budget=budget)
+        value = oracle(g, budget=args.budget)
         return {key: value}, f"{key} = {value}", EXIT_OK
 
     return _answer_each(args, answer)
@@ -255,9 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_inputs(p)
     p.add_argument("--count-torus", action="store_true",
                    help="count inequivalent torus embeddings instead")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"rotation budget (default {DEFAULT_BUDGET}, "
-                   f"env {BUDGET_ENV})")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="rotation budget (default %(default)s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_genus)
 

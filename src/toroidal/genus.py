@@ -449,33 +449,6 @@ def hill_climb_genus(
     return None
 
 
-def rotation_to_text(rotation: dict[int, tuple[int, ...]]) -> str:
-    """One `v: n1 n2 ...` line per vertex, neighbors in cyclic order."""
-    lines = [
-        f"{v}: {' '.join(str(w) for w in order)}".rstrip()
-        for v, order in sorted(rotation.items())
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def rotation_from_text(text: str) -> dict[int, tuple[int, ...]]:
-    rotation: dict[int, tuple[int, ...]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        try:
-            v = int(head)
-            order = tuple(int(t) for t in rest.split())
-        except ValueError:
-            raise GraphInputError(f"bad rotation line {line!r}") from None
-        if v in rotation:
-            raise GraphInputError(f"vertex {v} listed twice")
-        rotation[v] = order
-    return rotation
-
-
 def k7_torus_rotation() -> dict[int, tuple[int, ...]]:
     """A vertex-transitive rotation system embedding K7 in the torus with
     14 triangular faces: every vertex uses the same cyclic difference

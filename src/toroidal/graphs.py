@@ -1,6 +1,6 @@
 """Finite simple undirected graphs and the combinatorial operations the
-rest of the package is built on: deletion, contraction, degree-two
-suppression, blocks, and bridges relative to a subgraph.
+rest of the package is built on: deletion, contraction, blocks, and the
+bridges of a vertex set.
 
 Graphs are immutable; every operation returns a new ``Graph``. Vertex
 labels are arbitrary integers in memory; file I/O normalizes to 0..n-1.
@@ -161,23 +161,6 @@ class Graph:
         mapping = {v: i for i, v in enumerate(self._vertices)}
         return self.relabeled(mapping)
 
-    def suppress_degree_two(self) -> Graph:
-        """Smooth out degree-2 vertices, skipping any suppression that would
-        create a loop or parallel edge.  The result is homeomorphic to the
-        input and is a fixed point of the operation."""
-        g = self
-        while True:
-            for v in g._vertices:
-                ns = g._adj[v]
-                if len(ns) == 2 and not g.has_edge(ns[0], ns[1]):
-                    g = Graph(
-                        (w for w in g._vertices if w != v),
-                        [e for e in g._edges if v not in e] + [tuple(ns)],
-                    )
-                    break
-            else:
-                return g
-
     # -- connectivity ------------------------------------------------------
 
     def connected_components(self) -> list[frozenset[int]]:
@@ -215,33 +198,18 @@ class BridgeOf:
     def as_graph(self) -> Graph:
         return Graph(self.attachments | self.internal, self.edges)
 
-    @property
-    def is_single_edge(self) -> bool:
-        return not self.internal
 
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[Graph, ...]
-    cut_vertices: frozenset[int]
-
-
-def bridges_of(g: Graph, h_vertices, h_edges=()) -> list[BridgeOf]:
-    """All bridges of ``g`` with respect to the subgraph on ``h_vertices`` /
-    ``h_edges``: chord edges between reference vertices that are not
-    reference edges, plus components of g minus the reference vertices with
-    their attachment edges."""
+def bridges_of(g: Graph, h_vertices) -> list[BridgeOf]:
+    """All bridges of ``g`` with respect to the vertex set ``h_vertices``:
+    each edge between two of its vertices, plus each component of g minus
+    the set with its attachment edges."""
     hv = set(h_vertices)
-    he = {_norm_edge(*e) for e in h_edges}
     for v in hv:
         if not g.has_vertex(v):
             raise GraphInputError(f"reference vertex {v} not in graph")
-    for e in he:
-        if not g.has_edge(*e):
-            raise GraphInputError(f"reference edge {e} not in graph")
     out = []
     for u, v in g.edges:
-        if u in hv and v in hv and (u, v) not in he:
+        if u in hv and v in hv:
             out.append(
                 BridgeOf(frozenset((u, v)), frozenset(), frozenset(((u, v),)))
             )
@@ -271,8 +239,8 @@ def bridges_of(g: Graph, h_vertices, h_edges=()) -> list[BridgeOf]:
     return out
 
 
-def blocks(g: Graph) -> BlockDecomposition:
-    """Standard block-cut decomposition (Hopcroft/Tarjan lowpoints).
+def blocks(g: Graph) -> tuple[Graph, ...]:
+    """The blocks of g, by Hopcroft/Tarjan lowpoints.
 
     Every edge lies in exactly one block; isolated vertices are in none.
     """
@@ -280,55 +248,40 @@ def blocks(g: Graph) -> BlockDecomposition:
     low: dict[int, int] = {}
     counter = itertools.count()
     edge_stack: list[tuple[int, int]] = []
-    block_edgesets: list[list[tuple[int, int]]] = []
-    cuts: set[int] = set()
-
+    out: list[Graph] = []
     for root in g.vertices:
         if root in index:
             continue
         # iterative DFS; (vertex, parent, neighbor iterator)
         index[root] = low[root] = next(counter)
         stack = [(root, None, iter(g.neighbors(root)))]
-        root_children = 0
         while stack:
             v, parent, it = stack[-1]
-            advanced = False
             for w in it:
                 if w == parent:
                     parent = None  # skip the tree edge to the parent once
                     stack[-1] = (v, None, it)
-                    continue
-                if w not in index:
+                elif w not in index:
                     index[w] = low[w] = next(counter)
                     edge_stack.append(_norm_edge(v, w))
                     stack.append((w, v, iter(g.neighbors(w))))
-                    if v == root:
-                        root_children += 1
-                    advanced = True
                     break
                 elif index[w] < index[v]:
                     edge_stack.append(_norm_edge(v, w))
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= index[u]:
-                    # u separates v's subtree: pop one block
-                    blk = []
-                    e = _norm_edge(u, v)
-                    while edge_stack:
-                        f = edge_stack.pop()
-                        blk.append(f)
-                        if f == e:
-                            break
-                    block_edgesets.append(blk)
-                    if u != root or root_children > 1:
-                        cuts.add(u)
-    blks = tuple(Graph((), es) for es in block_edgesets if es)
-    return BlockDecomposition(blks, frozenset(cuts))
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= index[u]:
+                        # u separates v's subtree: pop its block, down to uv
+                        e = _norm_edge(u, v)
+                        blk = [edge_stack.pop()]
+                        while blk[-1] != e:
+                            blk.append(edge_stack.pop())
+                        out.append(Graph((), blk))
+    return tuple(out)
 
 
 # -- text formats ----------------------------------------------------------
@@ -351,6 +304,8 @@ def from_edge_list_text(text: str) -> Graph:
         pairs = [int(t) for t in tokens[2:]]
     except ValueError as exc:
         raise GraphInputError(f"bad edge list token: {exc}") from None
+    if n < 0:
+        raise GraphInputError(f"negative vertex count {n}")
     if len(pairs) != 2 * m:
         raise GraphInputError(f"expected {m} edges, got {len(pairs) // 2} pairs")
     edges = []
@@ -404,9 +359,9 @@ def from_graph6(line: str) -> Graph:
     else:
         n = data[0]
         body = data[1:]
-    need = n * (n - 1) // 2
-    if len(body) * 6 < need:
-        raise GraphInputError("graph6 body too short")
+    need = (n * (n - 1) // 2 + 5) // 6  # six adjacency bits per character
+    if len(body) != need:
+        raise GraphInputError(f"graph6 body of {len(body)} characters, expected {need}")
     bits = []
     for d in body:
         for s6 in (5, 4, 3, 2, 1, 0):

@@ -242,9 +242,7 @@ def _split_orbits(g: Graph, generators) -> list[list[SplitOperation]]:
     return orbits
 
 
-def enumerate_splits(
-    seeds, ceiling: int = 16, log=None
-) -> list[Graph]:
+def enumerate_splits(seeds, ceiling: int = 16) -> list[Graph]:
     """Closure of the seeds under vertex splits, keeping only K3,3-free
     topological obstructions; deduplicated by canonical form.
 
@@ -291,8 +289,6 @@ def enumerate_splits(
             if is_topological_obstruction(child, tk5s):
                 accepted[key] = child.normalized()
                 frontier.append((child, tk5s))
-                if log:
-                    log(f"obstruction found: n={child.n} m={child.m}")
             else:
                 rejected.add(key)
     out = sorted(accepted.values(), key=lambda h: (h.n, h.m, to_graph6(h)))

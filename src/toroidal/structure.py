@@ -7,7 +7,8 @@ corners (or a non-adjacent corner pair of an M pattern), is returned in
 place of the decomposition: it certifies a K3,3-subdivision, and for a TK5
 one is built from it.  :func:`scan_block` makes one recursive pass over a
 block: it either finds a TK3,3 or returns the decomposition that the
-toroidality decision starts from, so the class gate and the decision share
+toroidality decision starts from.  :func:`scan` runs it over the blocks of
+a graph, and both the class check and the decision call it, so they share
 one Kuratowski extraction per block.  Across a family of related graphs, a
 pool of TK5s saves even that where one of them validates.
 """
@@ -35,9 +36,6 @@ def m_graph() -> Graph:
     return pattern_graph(M_PATTERN)
 
 
-M_CENTRAL_EDGE = (0, 1)
-
-
 @dataclass(frozen=True, eq=False)
 class SideComponent:
     """Union of all bridges spanning one fixed pair of corners."""
@@ -62,15 +60,6 @@ class SideDecomposition:
             if sc.corners == key:
                 return sc
         raise KeyError(key)
-
-    @property
-    def central_component(self) -> SideComponent:
-        """For an M decomposition, the component of the central edge."""
-        if self.witness.pattern != M_PATTERN:
-            raise GraphInputError("central component only exists for M patterns")
-        a = self.witness.corner_map[M_CENTRAL_EDGE[0]]
-        b = self.witness.corner_map[M_CENTRAL_EDGE[1]]
-        return self.component(a, b)
 
 
 def _bfs_path(
@@ -258,15 +247,26 @@ def scan_block(
     return dec
 
 
+def scan(
+    g: Graph, tk5s: list[SubdivisionWitness] | None = None
+) -> SubdivisionWitness | list[tuple[Graph, SideDecomposition | None]]:
+    """:func:`scan_block` over the blocks of g: the first TK3,3 witness it
+    finds, or else every block paired with its scan."""
+    scanned = []
+    for block in blocks(g):
+        found = scan_block(block, tk5s)
+        if isinstance(found, SubdivisionWitness):
+            return found
+        scanned.append((block, found))
+    return scanned
+
+
 def find_k33_subdivision(g: Graph) -> SubdivisionWitness | None:
     """A TK3,3 witness in g, or None when g is K3,3-free."""
     if g.m < 9:  # a TK3,3 has at least K3,3's nine edges
         return None
-    for block in blocks(g).blocks:
-        found = scan_block(block)
-        if isinstance(found, SubdivisionWitness):
-            return found
-    return None
+    found = scan(g)
+    return found if isinstance(found, SubdivisionWitness) else None
 
 
 def is_k33_free(g: Graph) -> bool:

@@ -78,9 +78,6 @@ class SubdivisionWitness:
             out.update(_norm_edge(a, b) for a, b in zip(path, path[1:]))
         return out
 
-    def as_subgraph(self) -> Graph:
-        return Graph(self.corners, self.subgraph_edges())
-
     def contracted(self, u: int, v: int) -> SubdivisionWitness:
         """The image of this witness in ``g.contract_edge(u, v)``, which
         merges v into u: v becomes u and a step u-v drops out.  It is a

@@ -28,7 +28,7 @@ from .structure import (
     SideDecomposition,
     decompose_by_corners,
     is_special,
-    scan_block,
+    scan,
 )
 from .subdivisions import (
     K5_PATTERN,
@@ -243,15 +243,12 @@ def decide_toroidal(
 
     Inputs containing a K3,3-subdivision are not decided: the verdict is
     NotInClass and carries the witness.  ``tk5s`` is a pool of TK5s from
-    related graphs, passed to :func:`scan_block`; without it every block is
-    tested and extracted afresh.
+    related graphs, passed to :func:`~toroidal.structure.scan`; without it
+    every block is tested and extracted afresh.
     """
-    scanned = []
-    for block in blocks(g).blocks:
-        found = scan_block(block, tk5s)
-        if isinstance(found, SubdivisionWitness):
-            return ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=found)
-        scanned.append((block, found))
+    scanned = scan(g, tk5s)
+    if isinstance(scanned, SubdivisionWitness):
+        return ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=scanned)
     nonplanar = tuple(i for i, (_, dec) in enumerate(scanned) if dec is not None)
     if not nonplanar:
         return ToroidalityVerdict(TOROIDAL, CASE_ALL_PLANAR_BLOCKS)
@@ -319,10 +316,8 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
         _require(v.k33.pattern == K33_PATTERN, "a TK3,3 witness")
         v.k33.validate(g)
         return
-    decomposition = blocks(g)
-    nonplanar = tuple(
-        i for i, b in enumerate(decomposition.blocks) if not is_planar(b)
-    )
+    blks = blocks(g)
+    nonplanar = tuple(i for i, b in enumerate(blks) if not is_planar(b))
     if v.case == CASE_ALL_PLANAR_BLOCKS:
         _require(v.status == TOROIDAL and not nonplanar, "every block planar")
         return
@@ -337,7 +332,7 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
         nonplanar == (v.block_index,) == v.nonplanar_blocks,
         "exactly one non-planar block",
     )
-    block = decomposition.blocks[v.block_index]
+    block = blks[v.block_index]
     _require(v.tk5.pattern == K5_PATTERN, "a TK5 witness")
     dec = _check_side_components(block, v.tk5, v.components)
     bad = tuple(r.corners for r in v.components if not r.augmented_planar)

@@ -128,17 +128,9 @@ def test_genus_budget_refusal_exit_three(capsys):
     assert code == 3 and "budget" in err
 
 
-def test_genus_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("TOROIDAL_GENUS_BUDGET", "10")
-    code, _, err = run(capsys, "genus", "--name", "K5")
-    assert code == 3
-
-
-def test_genus_budget_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("TOROIDAL_GENUS_BUDGET", "abc")
-    code, out, err = run(capsys, "genus", "--name", "K5")
-    assert code == 1 and out == ""
-    assert "input error" in err and "TOROIDAL_GENUS_BUDGET" in err
+def test_genus_budget_option_refuses(capsys):
+    code, _, err = run(capsys, "genus", "--name", "K5", "--budget", "10")
+    assert code == 3 and err.startswith("K5: budget refusal: ")
 
 
 def test_genus_batch_survives_budget_refusal(tmp_path, capsys):
@@ -212,6 +204,29 @@ def test_decide_batch_survives_one_input_error(tmp_path, capsys):
     assert code == 1
     assert f"{path}:0: Toroidal Case-i" in out
     assert f"{path}:1: input error" in err
+
+
+@pytest.mark.parametrize("separator", ["  ", "\t", " \t "], ids=["spaces", "tab", "mixed"])
+def test_decide_batch_split_on_whitespace_only_line(capsys, monkeypatch, separator):
+    import io
+
+    text = f"3 1\n0 1\n{separator}\n3 1\n1 2\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "decide", "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert [p["input"] for p in payload] == ["stdin:0", "stdin:1"]
+    assert all(p["case"] == "AllPlanarBlocks" for p in payload)
+
+
+def test_decide_negative_vertex_count_is_an_input_error(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("-2 0\n"))
+    code, out, _ = run(capsys, "decide", "--json")
+    assert code == 1
+    (payload,) = json.loads(out)
+    assert "negative vertex count" in payload["error"] and "status" not in payload
 
 
 def _k5_then_g3_with_k4s(tmp_path):

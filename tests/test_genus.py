@@ -215,17 +215,3 @@ def test_edge_deletions_of_obstructions_are_toroidal(name):
     g = builtin(name)
     for u, v in g.edges:
         assert min_genus_bruteforce(g.delete_edge(u, v), stop_at=1) <= 1, (u, v)
-
-
-def test_rotation_text_round_trip():
-    from toroidal import GraphInputError, rotation_from_text, rotation_to_text
-
-    rot = k7_torus_rotation()
-    text = rotation_to_text(rot)
-    assert rotation_from_text(text) == rot
-    emb = trace_faces(Graph.complete(7), rotation_from_text(text))
-    assert emb.euler_genus == 1
-    with pytest.raises(GraphInputError):
-        rotation_from_text("0: 1 x")
-    with pytest.raises(GraphInputError):
-        rotation_from_text("0: 1\n0: 2")

@@ -10,7 +10,6 @@ from toroidal import (
     bridges_of,
     from_edge_list_text,
     from_graph6,
-    has_subdivision,
     to_edge_list_text,
     to_graph6,
 )
@@ -62,77 +61,48 @@ def test_contract_reduces_vertex_count_by_one():
         assert g.contract_edge(*e).n == g.n - 1
 
 
-def test_suppress_degree_two_recovers_k5(k5):
-    g = subdivide_edge(subdivide_edge(k5, 0, 1), 2, 3)
-    assert g.suppress_degree_two() == k5
-
-
-def test_suppress_path_to_single_edge():
-    assert Graph.path(5).suppress_degree_two().m == 1
-
-
-def test_suppress_triangle_blocked_by_simplicity():
-    c3 = Graph.cycle(3)
-    assert c3.suppress_degree_two() == c3
-
-
-def test_suppress_idempotent_and_preserves_subdivisions():
-    rng = random.Random(1)
-    k4 = Graph.complete(4)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(4, 8), 0.5)
-        for e in list(g.edges)[:2]:
-            g = subdivide_edge(g, *e)
-        s = g.suppress_degree_two()
-        assert s.suppress_degree_two() == s
-        assert has_subdivision(g, k4) == has_subdivision(s, k4)
-
-
 def test_blocks_two_triangles_sharing_vertex():
     g = Graph((), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    dec = blocks(g)
-    assert len(dec.blocks) == 2 and dec.cut_vertices == frozenset({2})
+    assert set(blocks(g)) == {Graph.cycle(3), Graph((), [(2, 3), (3, 4), (4, 2)])}
 
 
 def test_blocks_k5_single_block(k5):
-    dec = blocks(k5)
-    assert len(dec.blocks) == 1 and not dec.cut_vertices
+    assert blocks(k5) == (k5,)
 
 
 def test_blocks_path():
-    dec = blocks(Graph.path(4))
-    assert len(dec.blocks) == 3 and dec.cut_vertices == frozenset({1, 2})
+    assert set(blocks(Graph.path(4))) == {Graph((), [(i, i + 1)]) for i in range(3)}
 
 
 def test_blocks_partition_edges():
     rng = random.Random(2)
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.1, 0.6))
-        dec = blocks(g)
         seen = []
-        for b in dec.blocks:
+        for b in blocks(g):
             seen.extend(b.edges)
         assert sorted(seen) == list(g.edges)
 
 
 def test_bridges_of_k5_minus_edge(k5):
-    h_edges = [e for e in k5.edges if e != (0, 1)]
-    out = bridges_of(k5, range(5), h_edges)
-    assert len(out) == 1 and out[0].edges == frozenset({(0, 1)})
-    assert out[0].is_single_edge
+    g = k5.delete_edge(0, 1)
+    (b,) = bridges_of(g, (0, 1))
+    assert b.attachments == frozenset({0, 1}) and b.internal == frozenset({2, 3, 4})
+    assert b.edges == frozenset(g.edges)
 
 
 def test_bridges_of_subdivided_edge(k5):
     g = subdivide_edge(k5, 0, 1)
-    h_vertices = set(g.vertices) - {5}
-    h_edges = [e for e in g.edges if 5 not in e]
-    (b,) = bridges_of(g, h_vertices, h_edges)
+    out = bridges_of(g, set(g.vertices) - {5})
+    (b,) = [b for b in out if b.internal]
     assert b.internal == frozenset({5}) and b.attachments == frozenset({0, 1})
+    chords = [b for b in out if not b.internal]
+    assert sorted(e for c in chords for e in c.edges) == [e for e in k5.edges if e != (0, 1)]
 
 
 def test_bridges_of_corners_only(k5):
     out = bridges_of(k5, range(5))
-    assert len(out) == 10 and all(b.is_single_edge for b in out)
+    assert len(out) == 10 and all(not b.internal and len(b.edges) == 1 for b in out)
 
 
 def test_bridges_partition_non_h_edges():
@@ -140,13 +110,10 @@ def test_bridges_partition_non_h_edges():
     for _ in range(60):
         g = random_graph(rng, rng.randint(3, 9), 0.5)
         hv = [v for v in g.vertices if rng.random() < 0.5]
-        he = [e for e in g.edges if e[0] in hv and e[1] in hv and rng.random() < 0.5]
-        out = bridges_of(g, hv, he)
         covered = []
-        for b in out:
+        for b in bridges_of(g, hv):
             covered.extend(sorted(b.edges))
-        expect = sorted(set(g.edges) - set(he))
-        assert sorted(covered) == expect
+        assert sorted(covered) == list(g.edges)
 
 
 def test_graph6_roundtrip_and_matches_networkx():
@@ -167,6 +134,9 @@ def test_graph6_accepts_header_and_rejects_junk():
         from_graph6("")
     with pytest.raises(GraphInputError):
         from_graph6("D\x1c")
+    for line in ("DhCzzzz", "DhC?", "Dh"):  # n = 5 takes exactly two characters
+        with pytest.raises(GraphInputError, match="graph6 body"):
+            from_graph6(line)
 
 
 def test_edge_list_roundtrip(k5):
@@ -174,7 +144,7 @@ def test_edge_list_roundtrip(k5):
 
 
 def test_edge_list_rejects_malformed():
-    for text in ("", "3", "2 1\n0 5", "2 2\n0 1", "a b\n0 1"):
+    for text in ("", "3", "2 1\n0 5", "2 2\n0 1", "a b\n0 1", "-2 0"):
         with pytest.raises(GraphInputError):
             from_edge_list_text(text)
 

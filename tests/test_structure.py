@@ -106,13 +106,14 @@ def test_m_graph_side_components(mgraph):
     dec = decompose_by_corners(mgraph, find_subdivision(mgraph, "M"))
     assert len(dec.components) == 19
     assert all(sc.subgraph.m == 1 for sc in dec.components)
-    assert dec.central_component.corners == (0, 1)
+    w = dec.witness
+    assert dec.component(w.corner_map[0], w.corner_map[1]).corners == (0, 1)
 
 
 def test_g4_central_component_is_k5_minus_edge(g4):
     w = find_subdivision(g4, "M")
     dec = decompose_by_corners(g4, w)
-    central = dec.central_component
+    central = dec.component(w.corner_map[0], w.corner_map[1])
     assert central.subgraph.n == 5 and central.subgraph.m == 9
     assert not central.corner_edge_present
     assert is_planar(central.subgraph) and not is_planar(central.augmented)

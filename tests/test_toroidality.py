@@ -14,6 +14,7 @@ from toroidal import (
     build_m_subdivision,
     decide_toroidal,
     decompose_by_corners,
+    find_k33_subdivision,
     find_k5_subdivision,
     find_subdivision,
     from_graph6,
@@ -35,7 +36,7 @@ from toroidal.toroidality import (
     TOROIDAL,
 )
 
-from conftest import g3_tail, g3_with_k4s, random_graph, two_k5s_shared_vertex
+from conftest import atlas_graphs, g3_tail, g3_with_k4s, random_graph, two_k5s_shared_vertex
 
 
 def check(g, status, case=None):
@@ -45,6 +46,21 @@ def check(g, status, case=None):
         assert v.case == case
     assert verify_certificate(g, v)
     return v
+
+
+def test_decision_and_class_check_agree():
+    # both run structure.scan: NotInClass exactly when the class check
+    # finds a TK3,3, and that witness validates
+    minors = [
+        g.delete_edge(u, v)
+        for g in (builtin(f"G{i}") for i in range(1, 12))
+        for u, v in g.edges
+    ]
+    for g in atlas_graphs(7) + minors:
+        w = find_k33_subdivision(g)
+        assert (decide_toroidal(g).status == NOT_IN_CLASS) == (w is not None), g.edges
+        if w is not None:
+            w.validate(g)
 
 
 def test_planar_graphs_are_toroidal(k4):

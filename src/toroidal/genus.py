@@ -201,13 +201,16 @@ class _Walker:
     ``length`` at its first), which is all that joining two chains or
     closing one needs, and the changes are undone in reverse.
 
-    Refuses a space larger than ``budget`` on construction.  The tables
-    are built when the first walk starts: min_genus_bruteforce's hill climb
-    often answers first, and one high-degree vertex's table can be large.
-    With ``halve`` the first placed vertex of degree >= 3 keeps one of each
+    Refuses a space larger than ``budget`` on construction, and rejects a
+    negative budget as an input error.  The tables are built when the
+    first walk starts: min_genus_bruteforce's hill climb often answers
+    first, and one high-degree vertex's table can be large.  With
+    ``halve`` the first placed vertex of degree >= 3 keeps one of each
     mirror pair of its rotations."""
 
     def __init__(self, g: Graph, halve: bool, budget: int):
+        if budget < 0:
+            raise GraphInputError(f"negative budget {budget}")
         size = rotation_space_size(g)
         if size > budget:
             raise GenusBudgetExceeded(size, budget)

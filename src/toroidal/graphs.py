@@ -286,6 +286,9 @@ def blocks(g: Graph) -> tuple[Graph, ...]:
 
 # -- text formats ----------------------------------------------------------
 
+# the most vertices to_graph6 can write, and so an edge list may declare
+_MAX_VERTICES = 258047
+
 
 def to_edge_list_text(g: Graph) -> str:
     """`n m` header then one `u v` line per edge, labels normalized to 0-based."""
@@ -306,6 +309,8 @@ def from_edge_list_text(text: str) -> Graph:
         raise GraphInputError(f"bad edge list token: {exc}") from None
     if n < 0:
         raise GraphInputError(f"negative vertex count {n}")
+    if n > _MAX_VERTICES:
+        raise GraphInputError(f"vertex count {n} exceeds the limit of {_MAX_VERTICES}")
     if len(pairs) != 2 * m:
         raise GraphInputError(f"expected {m} edges, got {len(pairs) // 2} pairs")
     edges = []
@@ -321,7 +326,7 @@ def to_graph6(g: Graph) -> str:
     """Encode in standard graph6 (n <= 62 covers everything we build)."""
     g = g.normalized()
     n = g.n
-    if n > 258047:
+    if n > _MAX_VERTICES:
         raise GraphInputError("graph too large for this graph6 encoder")
     if n <= 62:
         head = [chr(n + 63)]

@@ -5,12 +5,13 @@ corner set, each spanning exactly two corners; bridges sharing a corner
 pair form a side component.  A bad bridge, one touching three or more
 corners (or a non-adjacent corner pair of an M pattern), is returned in
 place of the decomposition: it certifies a K3,3-subdivision, and for a TK5
-one is built from it.  :func:`scan_block` makes one recursive pass over a
-block: it either finds a TK3,3 or returns the decomposition that the
-toroidality decision starts from.  :func:`scan` runs it over the blocks of
-a graph, and both the class check and the decision call it, so they share
-one Kuratowski extraction per block.  Across a family of related graphs, a
-pool of TK5s saves even that where one of them validates.
+one is built from it.  :func:`scan_block` makes one pass over a block,
+recursing into each augmented side component, itself a block: it either
+finds a TK3,3 or returns the decomposition that the toroidality decision
+starts from.  :func:`scan` runs it over the blocks of a graph, and both
+the class check and the decision call it, so they share one Kuratowski
+extraction per block.  Across a family of related graphs, a pool of TK5s
+saves even that where one of them validates.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ def _k33_from_bad_bridge(
     running Q and then y..c; if y lies inside P_cd, it gives
     {a,b,y}|{x,c,d}.
     """
-    inv = {v: p for p, v in w.corner_map.items()}
     bg = bridge.as_graph()
     hosted = [
         p for p in w.branch_paths.values() if bridge.internal.intersection(p[1:-1])
@@ -145,10 +145,7 @@ def _k33_from_bad_bridge(
             left, right = (a, b, y), (x, c, d)
 
     def leg(s: int, t: int) -> tuple[int, ...]:
-        if (s, t) in legs:
-            return legs[(s, t)]
-        path = w.branch_paths[tuple(sorted((inv[s], inv[t])))]
-        return path if path[0] == s else path[::-1]
+        return legs[(s, t)] if (s, t) in legs else w.path(s, t)
 
     witness = SubdivisionWitness(
         K33_PATTERN,
@@ -221,7 +218,9 @@ def scan_block(
     """The one pass over a block that both checks the class and feeds the
     decision: None for a planar block, a TK3,3 witness when the block has
     one, and otherwise the side decomposition of its TK5, whose augmented
-    side components are then all K3,3-free.
+    side components are then all K3,3-free.  It recurses into each of them
+    as a block: the bridges on a corner pair {a, b} are connected and
+    attach at both, so with the edge ab they form a block as the host does.
 
     ``tk5s`` pools the TK5s already found in a family of related graphs,
     such as the single-edge minors of one graph.  The first that validates
@@ -241,8 +240,8 @@ def scan_block(
     if isinstance(dec, BridgeOf):
         return _k33_from_bad_bridge(block, w, dec)
     for sc in dec.components:
-        inner = find_k33_subdivision(sc.augmented)
-        if inner is not None:
+        inner = scan_block(sc.augmented)
+        if isinstance(inner, SubdivisionWitness):
             return _lift_through_augmentation(block, w, inner, *sc.corners)
     return dec
 
@@ -263,8 +262,6 @@ def scan(
 
 def find_k33_subdivision(g: Graph) -> SubdivisionWitness | None:
     """A TK3,3 witness in g, or None when g is K3,3-free."""
-    if g.m < 9:  # a TK3,3 has at least K3,3's nine edges
-        return None
     found = scan(g)
     return found if isinstance(found, SubdivisionWitness) else None
 
@@ -281,36 +278,20 @@ def _lift_through_augmentation(
     a: int,
     b: int,
 ) -> SubdivisionWitness:
-    """Replace a use of the artificial corner edge ab in ``inner`` by a
-    detour through a third corner of the outer TK5, which meets both."""
-    uses_ab = None
-    for key, path in inner.branch_paths.items():
+    """Replace the step a-b of ``inner`` over the artificial corner edge ab,
+    which a TK3,3 uses at most once, by a detour through a third corner c of
+    the outer TK5, which meets both."""
+    if g.has_edge(a, b):
+        return inner  # ab is a real edge
+    c = min(outer.corners - {a, b})
+    detour = outer.path(a, c) + outer.path(c, b)[1:]
+    paths = dict(inner.branch_paths)
+    for key, path in paths.items():
         for i in range(len(path) - 1):
             if {path[i], path[i + 1]} == {a, b}:
-                uses_ab = (key, i)
-                break
-        if uses_ab:
-            break
-    if uses_ab is None or g.has_edge(a, b):
-        return inner  # the witness uses no artificial edge
-
-    inv = {v: p for p, v in outer.corner_map.items()}
-    c = min(outer.corners - {a, b})
-    p1 = outer.branch_paths[tuple(sorted((inv[a], inv[c])))]
-    if p1[0] != a:
-        p1 = p1[::-1]
-    p2 = outer.branch_paths[tuple(sorted((inv[c], inv[b])))]
-    if p2[0] != c:
-        p2 = p2[::-1]
-    detour = p1 + p2[1:]  # a .. c .. b
-
-    key, i = uses_ab
-    path = inner.branch_paths[key]
-    seg = detour if path[i] == a else tuple(reversed(detour))
-    new_path = path[:i] + seg + path[i + 2 :]
-    new_paths = dict(inner.branch_paths)
-    new_paths[key] = new_path
-    lifted = SubdivisionWitness(inner.pattern, dict(inner.corner_map), new_paths)
+                seg = detour if path[i] == a else detour[::-1]
+                paths[key] = path[:i] + seg + path[i + 2 :]
+    lifted = SubdivisionWitness(inner.pattern, dict(inner.corner_map), paths)
     try:
         lifted.validate(g)
     except ValueError as exc:

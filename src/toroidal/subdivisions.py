@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import GraphInputError, SearchBudgetExceeded
 from .graphs import Graph, _norm_edge
-from .isomorphism import automorphisms
 
 # Pattern vertex conventions: K5 = 0..4; K3,3 = {0,1,2} vs {3,4,5};
 # M = two K5s sharing the central edge 0-1, triangles {2,3,4} and {5,6,7}.
@@ -71,6 +70,12 @@ class SubdivisionWitness:
     @property
     def corners(self) -> frozenset[int]:
         return frozenset(self.corner_map.values())
+
+    def path(self, u: int, v: int) -> tuple[int, ...]:
+        """The branch path from corner u to corner v, in that direction."""
+        inv = {c: p for p, c in self.corner_map.items()}
+        found = self.branch_paths[tuple(sorted((inv[u], inv[v])))]
+        return found if found[0] == u else found[::-1]
 
     def subgraph_edges(self) -> set[tuple[int, int]]:
         out: set[tuple[int, int]] = set()
@@ -176,11 +181,11 @@ class SubdivisionWitness:
                 seen_internal.add(w)
 
 
-def _symmetry_constraints(pat: Graph, name: str | None) -> list[tuple[int, int]] | None:
+def _symmetry_constraints(pat: Graph, name: str) -> list[tuple[int, int]]:
     """Pairs (p, q) of pattern vertices whose host images must satisfy
-    image[p] < image[q]; picks one corner assignment per pattern-symmetry
-    orbit for the patterns we search for constantly.  None means no cheap
-    constraint system is known and the caller falls back to a leaf check."""
+    image[p] < image[q], picking one corner assignment per orbit of the
+    pattern's symmetries: for a complete pattern, K3,3 and M.  Any other
+    pattern gets none and is searched over every assignment."""
     if pat.m == pat.n * (pat.n - 1) // 2:  # complete pattern, Aut = S_n
         vs = pat.vertices
         return [(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
@@ -188,20 +193,7 @@ def _symmetry_constraints(pat: Graph, name: str | None) -> list[tuple[int, int]]
         return [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3)]
     if name == M_PATTERN:
         return [(0, 1), (2, 3), (3, 4), (5, 6), (6, 7), (2, 5)]
-    return None
-
-
-def _assignment_is_canonical(
-    corner_of: dict[int, int], pvs: list[int], auts: list[dict[int, int]]
-) -> bool:
-    """Leaf fallback: keep one corner assignment per pattern-automorphism
-    orbit (used for custom patterns only)."""
-    images = tuple(corner_of[p] for p in pvs)
-    for a in auts:
-        permuted = tuple(corner_of[a[p]] for p in pvs)
-        if permuted < images:
-            return False
-    return True
+    return []
 
 
 def find_subdivision(
@@ -211,13 +203,17 @@ def find_subdivision(
 ) -> SubdivisionWitness | None:
     """Search for an h-subdivision in g; None when there is none.
 
-    ``h`` is a pattern name or a graph with minimum degree >= 3.
-    ``require_corners`` pins chosen pattern vertices to host vertices.
-    Raises :class:`SearchBudgetExceeded` when the path search passes
-    ``SEARCH_BUDGET`` steps.
+    ``h`` is a pattern name or a graph with minimum degree >= 3; a graph
+    equal to a stock pattern is searched, and its witness named, as that
+    pattern.  ``require_corners`` pins chosen pattern vertices to host
+    vertices.  Raises :class:`SearchBudgetExceeded` when the path search
+    passes ``SEARCH_BUDGET`` steps.
     """
-    name = h if isinstance(h, str) else None
-    pat = pattern_graph(h) if isinstance(h, str) else h
+    if isinstance(h, str):
+        name, pat = h, pattern_graph(h)
+    else:
+        name = next((k for k, p in _PATTERNS.items() if p == h), "custom")
+        pat = h
     if pat.n and min(pat.degree(v) for v in pat.vertices) < 3:
         raise GraphInputError("subdivision pattern needs minimum degree 3")
     if g.n < pat.n or g.m < pat.m:
@@ -227,18 +223,10 @@ def find_subdivision(
         if not pat.has_vertex(p) or not g.has_vertex(v):
             raise GraphInputError("bad corner pin")
 
-    pvs = list(pat.vertices)
-    pinned = set(require_corners)
-    # symmetry reduction: ordering constraints for the stock patterns, a
-    # leaf-time automorphism check otherwise; pins disable both
-    constraints = _symmetry_constraints(pat, name) if not pinned else []
-    auts = (
-        automorphisms(pat)
-        if constraints is None and not pinned
-        else [{v: v for v in pvs}]
-    )
+    # symmetry reduction by ordering constraints; pins disable it
+    constraints = [] if require_corners else _symmetry_constraints(pat, name)
     # high-degree pattern vertices first: they have the fewest host candidates
-    order = sorted(pvs, key=lambda p: (p not in pinned, -pat.degree(p), p))
+    order = sorted(pat.vertices, key=lambda p: (p not in require_corners, -pat.degree(p), p))
     host_sorted = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
 
     def candidates(p: int, taken: set[int]):
@@ -340,20 +328,16 @@ def find_subdivision(
         return dict(paths) if route(0) else None
 
     def constraints_ok(corner_of: dict[int, int]) -> bool:
-        for p, q in constraints or ():
+        for p, q in constraints:
             if p in corner_of and q in corner_of and corner_of[p] >= corner_of[q]:
                 return False
         return True
 
     def assign(i: int, corner_of: dict[int, int], taken: set[int]):
         if i == len(order):
-            if constraints is None and not _assignment_is_canonical(
-                corner_of, pvs, auts
-            ):
-                return None
             routed = route_all(corner_of)
             if routed is not None:
-                return SubdivisionWitness(name or "custom", dict(corner_of), routed)
+                return SubdivisionWitness(name, dict(corner_of), routed)
             return None
         p = order[i]
         for v in candidates(p, taken):

@@ -152,19 +152,11 @@ def build_m_subdivision(
     outer_rest = sorted(w.corners - {a, b})
     inner_rest = sorted(inner.corners - {a, b})
     corner_map = dict(enumerate([a, b, *outer_rest, *inner_rest]))
-
-    def path(src: SubdivisionWitness, u: int, v: int) -> tuple[int, ...]:
-        inv = {c: p for p, c in src.corner_map.items()}
-        found = src.branch_paths[tuple(sorted((inv[u], inv[v])))]
-        return found if found[0] == u else found[::-1]
-
     # the inner TK5 lies in f, and w's paths but its a-b path lie in other
     # side components, so the halves meet only at a and b
     paths = {
-        (mp, mq): path(
-            inner if {mp, mq} <= {0, 1, 5, 6, 7} else w,
-            corner_map[mp],
-            corner_map[mq],
+        (mp, mq): (inner if {mp, mq} <= {0, 1, 5, 6, 7} else w).path(
+            corner_map[mp], corner_map[mq]
         )
         for mp, mq in pattern_graph(M_PATTERN).edges
     }

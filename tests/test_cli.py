@@ -133,6 +133,11 @@ def test_genus_budget_option_refuses(capsys):
     assert code == 3 and err.startswith("K5: budget refusal: ")
 
 
+def test_genus_negative_budget_is_an_input_error(capsys):
+    code, _, err = run(capsys, "genus", "--name", "K5", "--budget", "-1")
+    assert code == 1 and err.startswith("K5: input error: ")
+
+
 def test_genus_batch_survives_budget_refusal(tmp_path, capsys):
     # K4, then K8: the latter's 6!**8 rotation systems exceed the budget
     path = tmp_path / "batch.g6"
@@ -227,6 +232,23 @@ def test_decide_negative_vertex_count_is_an_input_error(capsys, monkeypatch):
     assert code == 1
     (payload,) = json.loads(out)
     assert "negative vertex count" in payload["error"] and "status" not in payload
+
+
+def test_decide_huge_vertex_count_is_an_input_error(capsys, monkeypatch):
+    import io
+
+    from toroidal import graphs
+
+    def refuse(*args):
+        raise AssertionError("a graph was built")
+
+    # the header asks for about 300 GB: refuse it before any graph is built
+    monkeypatch.setattr(graphs, "Graph", refuse)
+    monkeypatch.setattr("sys.stdin", io.StringIO("1000000000 0\n"))
+    code, out, _ = run(capsys, "decide", "--json")
+    assert code == 1
+    (payload,) = json.loads(out)
+    assert "258047" in payload["error"] and "status" not in payload
 
 
 def _k5_then_g3_with_k4s(tmp_path):

@@ -63,6 +63,12 @@ def test_budget_refusal():
         min_genus_bruteforce(Graph.complete(5), budget=100)
 
 
+def test_negative_budget_is_an_input_error(k4):
+    for oracle in (min_genus_bruteforce, count_torus_embeddings, genus_distribution):
+        with pytest.raises(GraphInputError):
+            oracle(k4, budget=-1)
+
+
 def test_malformed_rotation_rejected(k4):
     with pytest.raises(GraphInputError):
         trace_faces(k4, {0: (1, 2, 3)})

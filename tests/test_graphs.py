@@ -149,6 +149,20 @@ def test_edge_list_rejects_malformed():
             from_edge_list_text(text)
 
 
+def test_edge_list_vertex_count_is_bounded_before_building(monkeypatch):
+    # at most as many vertices as to_graph6 can write; a 12-byte header must
+    # not ask for about 300 GB, so the graph is replaced by a recorder
+    from toroidal import graphs
+
+    built = []
+    monkeypatch.setattr(graphs, "Graph", lambda vertices, edges: built.append(len(vertices)))
+    from_edge_list_text("258047 0")
+    for text in ("258048 0", "1000000000 0"):
+        with pytest.raises(GraphInputError):
+            from_edge_list_text(text)
+    assert built == [258047]
+
+
 def test_no_self_loops():
     with pytest.raises(GraphInputError):
         Graph((), [(1, 1)])

@@ -5,12 +5,15 @@ import sys
 import pytest
 
 from toroidal import (
+    NOT_IN_CLASS,
     BridgeOf,
     Graph,
     SideComponent,
     all_splits,
     apply_split,
+    blocks,
     builtin,
+    decide_toroidal,
     decompose_by_corners,
     find_k33_subdivision,
     find_k5_subdivision,
@@ -20,7 +23,8 @@ from toroidal import (
     is_planar,
     is_special,
 )
-from toroidal.structure import scan_block
+from toroidal import structure
+from toroidal.structure import scan, scan_block
 
 from conftest import all_labeled_graphs, atlas_graphs, random_graph, subdivide_edge
 
@@ -100,6 +104,49 @@ def test_class_check_builds_every_k33_witness(monkeypatch):
             w.validate(g)
             found += 1
     assert found > 100
+
+
+def test_scan_recurses_into_blocks_only(monkeypatch):
+    # scan_block recurses into each augmented side component as it is, not
+    # block by block: check that every one of them is a block
+    graphs = atlas_graphs(max_n=7)
+    for name in [f"G{i}" for i in range(1, 12)]:
+        g = builtin(name)
+        graphs += [g] + [g.delete_edge(*e) for e in g.edges]
+    for name in ("G1", "G2", "G3", "G4"):
+        g = builtin(name)
+        graphs += [apply_split(g, op) for op in all_splits(g)]
+    original, inner, depth = scan_block, [], 0
+
+    def spy(block, tk5s=None):
+        nonlocal depth
+        if depth:
+            inner.append(block)
+        depth += 1
+        try:
+            return original(block, tk5s)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(structure, "scan_block", spy)
+    for g in graphs:
+        scan(g)
+    assert len(inner) > 1000
+    assert all(blocks(sc) == (sc,) for sc in inner)
+
+
+def test_k33_through_the_artificial_corner_edge_is_lifted():
+    # K5 minus 01, with K3,3 minus an edge glued at 0 and 1: the side
+    # component on {0, 1} is K3,3 once its corner edge is added, so its
+    # TK3,3 steps 0-1 and is lifted through the third TK5 corner, 2
+    k5_minus = [e for e in itertools.combinations(range(5), 2) if e != (0, 1)]
+    k33_minus = [(a, b) for a in (0, 5, 6) for b in (1, 7, 8) if (a, b) != (0, 1)]
+    g = Graph(range(9), k5_minus + k33_minus)
+    w = find_k33_subdivision(g)
+    assert w.pattern == "K3,3"
+    w.validate(g)
+    assert (0, 2, 1) in w.branch_paths.values()
+    assert decide_toroidal(g).status == NOT_IN_CLASS
 
 
 def test_m_graph_side_components(mgraph):
@@ -184,7 +231,8 @@ def test_k33_witness_extraction(k33):
 
 
 def test_k33_scan_starts_at_nine_edges(k33):
-    # graphs below nine edges skip the scan; K3,3 itself is at the boundary
+    # below nine edges every block is planar by its edge count, with no LR
+    # test; K3,3 itself is at the boundary
     w = find_k33_subdivision(k33)
     assert w is not None and w.pattern == "K3,3"
     w.validate(k33)

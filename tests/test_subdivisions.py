@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -45,6 +47,40 @@ def test_subdivided_k5_contains_tk5(k5):
 
 def test_k5_has_no_k33_subdivision(k5):
     assert not has_subdivision(k5, "K3,3")
+
+
+def test_branch_path_runs_from_its_first_corner(k5, mgraph):
+    # a subdivided edge makes each direction distinct
+    tk5 = subdivide_edge(subdivide_edge(k5, 0, 1), 3, 4)
+    tm = subdivide_edge(subdivide_edge(mgraph, 0, 5), 3, 4)
+    for g, name in ((tk5, "K5"), (tm, "M")):
+        w = find_subdivision(g, name)
+        assert any(len(path) > 2 for path in w.branch_paths.values())
+        for (p, q), path in w.branch_paths.items():
+            u, v = w.corner_map[p], w.corner_map[q]
+            assert w.path(u, v) == path
+            assert w.path(v, u) == path[::-1]
+
+
+def test_stock_pattern_graph_is_searched_as_that_pattern(k5, k33):
+    assert find_subdivision(k33, Graph.complete_bipartite(3, 3)).pattern == "K3,3"
+    assert find_subdivision(subdivide_edge(k5, 0, 1), Graph.complete(5)).pattern == "K5"
+    assert find_subdivision(k5, Graph.complete(4)).pattern == "custom"
+
+
+def test_subdivision_search_does_not_import_isomorphism():
+    # symmetry is broken by ordering constraints alone, with no
+    # automorphism group to compute
+    import toroidal.subdivisions
+
+    tree = ast.parse(Path(toroidal.subdivisions.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert "isomorphism" not in {name.split(".")[-1] for name in imported}
 
 
 def test_minor_needs_enough_vertices(k5, k33):

@@ -148,13 +148,12 @@ class Graph:
         return Graph(vs, (e for e in self._edges if e[0] in vs and e[1] in vs))
 
     def relabeled(self, mapping: dict[int, int]) -> Graph:
-        """Apply an injective vertex relabeling."""
-        if len(set(mapping.values())) != len(mapping):
+        """Apply an injective vertex relabeling; a vertex the mapping
+        leaves out keeps its label."""
+        image = {v: mapping.get(v, v) for v in self._vertices}
+        if len(set(image.values())) != len(image):
             raise GraphInputError("relabeling is not injective")
-        return Graph(
-            (mapping.get(v, v) for v in self._vertices),
-            ((mapping.get(u, u), mapping.get(v, v)) for u, v in self._edges),
-        )
+        return Graph(image.values(), ((image[u], image[v]) for u, v in self._edges))
 
     def normalized(self) -> Graph:
         """Relabel vertices to 0..n-1 preserving label order."""

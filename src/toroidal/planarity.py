@@ -18,9 +18,11 @@ LR tests:
   degree-2 paths between them.  The remaining edges are not tested.
 
 Otherwise the loop ends with an edge-minimal non-planar graph, which by
-Kuratowski's theorem is a K5- or K3,3-subdivision.  Either way the result is
-lifted into :class:`SubdivisionWitness` form by its corner degrees and
-validated against the input.
+Kuratowski's theorem is a K5- or K3,3-subdivision.  Either way the
+:class:`SubdivisionWitness` is read straight off the result's chains: its
+vertices of degree >= 3 are the corners, and each chain of degree-2 vertices
+between two corners is a branch path.  Validating the witness against the
+input is the one check on that shape.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import networkx as nx
 
 from .errors import ClassViolationError, GraphInputError, InternalError
 from .graphs import Graph
-from .subdivisions import K5_PATTERN, K33_PATTERN, SubdivisionWitness
+from .subdivisions import K5_PATTERN, K33_PATTERN, SubdivisionWitness, pattern_graph
 
 _planar_cache: dict[Graph, bool] = {}
 
@@ -119,81 +121,43 @@ def _kuratowski_subgraph(g: Graph) -> nx.Graph:
     return h
 
 
-def _classify_kuratowski(sub: Graph) -> SubdivisionWitness | None:
-    """Build a witness from an edge-minimal non-planar subgraph; None if the
-    subgraph does not have the expected corner structure."""
-    corners = sorted(v for v in sub.vertices if sub.degree(v) >= 3)
-    degs = sorted(sub.degree(v) for v in corners)
-    if degs == [4, 4, 4, 4, 4]:
-        pattern = K5_PATTERN
-    elif degs == [3, 3, 3, 3, 3, 3]:
-        pattern = K33_PATTERN
-    else:
-        return None
-    cset = set(corners)
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    seen_starts: set[tuple[int, int]] = set()
+def _read_witness(h: nx.Graph) -> SubdivisionWitness:
+    """The TK5 or TK3,3 that the Kuratowski subgraph ``h`` is, read off its
+    chains: the corners are its vertices of degree >= 3, and the chain of
+    degree-2 vertices between two corners is their branch path.  A pattern
+    edge with no chain between its corners, or no corner, gets the empty
+    path, which does not validate."""
+    corners = sorted(v for v in h if h.degree(v) >= 3)
+    chains = {}
     for c in corners:
-        for w in sub.neighbors(c):
-            if (c, w) in seen_starts:
-                continue
+        for w in h[c]:
             path = [c, w]
-            prev, cur = c, w
-            while cur not in cset:
-                ns = [x for x in sub.neighbors(cur) if x != prev]
-                if len(ns) != 1:
-                    return None
-                prev, cur = cur, ns[0]
-                path.append(cur)
-            seen_starts.add((c, w))
-            seen_starts.add((cur, prev))
-            a, b = path[0], path[-1]
-            if a == b:
-                return None
-            key = (a, b) if a < b else (b, a)
-            if key in paths:
-                return None
-            paths[key] = tuple(path) if a < b else tuple(reversed(path))
-
-    if pattern == K5_PATTERN:
-        if len(paths) != 10:
-            return None
-        corner_map = {i: corners[i] for i in range(5)}
+            while h.degree(path[-1]) == 2:
+                path.append(next(x for x in h[path[-1]] if x != path[-2]))
+            chains[c, path[-1]] = tuple(path)
+    if len(corners) == 5:
+        pattern, order = K5_PATTERN, corners
     else:
-        if len(paths) != 9:
-            return None
-        # recover the bipartition from path adjacency
-        c0 = corners[0]
-        adj_pairs = set(paths)
-        side_a = [c0] + [
-            c for c in corners[1:]
-            if (min(c0, c), max(c0, c)) not in adj_pairs
-        ]
-        side_b = [c for c in corners if c not in side_a]
-        if len(side_a) != 3 or len(side_b) != 3:
-            return None
-        corner_map = {i: side_a[i] for i in range(3)}
-        corner_map.update({3 + i: side_b[i] for i in range(3)})
-
-    inv = {v: p for p, v in corner_map.items()}
-    branch_paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (a, b), path in paths.items():
-        p, q = inv[a], inv[b]
-        if p > q:
-            p, q = q, p
-            path = tuple(reversed(path))
-        branch_paths[(p, q)] = path
-    return SubdivisionWitness(pattern, corner_map, branch_paths)
+        # one side of a K3,3 is the corners not chained to the lowest one;
+        # the sort is stable, so each side stays in ascending order
+        pattern = K33_PATTERN
+        order = sorted(corners, key=lambda c: (corners[0], c) in chains)
+    corner_map = dict(enumerate(order))
+    return SubdivisionWitness(
+        pattern,
+        corner_map,
+        {
+            (p, q): chains.get((corner_map.get(p), corner_map.get(q)), ())
+            for p, q in pattern_graph(pattern).edges
+        },
+    )
 
 
 def kuratowski_witness(g: Graph) -> SubdivisionWitness:
     """A TK5 or TK3,3 inside the non-planar graph ``g``."""
     if is_planar(g):
         raise GraphInputError("kuratowski_witness needs a non-planar graph")
-    h = _kuratowski_subgraph(g)
-    witness = _classify_kuratowski(Graph(h.nodes(), h.edges()))
-    if witness is None:
-        raise InternalError("Kuratowski extraction left no TK5 or TK3,3")
+    witness = _read_witness(_kuratowski_subgraph(g))
     try:
         witness.validate(g)
     except ValueError as exc:

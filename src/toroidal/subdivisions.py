@@ -166,6 +166,8 @@ class SubdivisionWitness:
         corners = self.corners
         seen_internal: set[int] = set()
         for (p, q), path in self.branch_paths.items():
+            if len(path) < 2:
+                raise ValueError(f"path for pattern edge {(p, q)} is too short")
             if path[0] != self.corner_map[p] or path[-1] != self.corner_map[q]:
                 raise ValueError(f"path for pattern edge {(p, q)} has wrong endpoints")
             if len(set(path)) != len(path):

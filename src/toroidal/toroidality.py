@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .errors import CertificateError, GraphInputError, InternalError
 from .graphs import Graph, blocks
@@ -113,13 +114,15 @@ def _plain(x):
 
 
 def _report(sc: SideComponent) -> ComponentReport:
+    augmented_planar = is_planar(sc.augmented)
     return ComponentReport(
         corners=sc.corners,
         vertices=sc.subgraph.n,
         edges=sc.subgraph.m,
         corner_edge_present=sc.corner_edge_present,
-        planar=is_planar(sc.subgraph),
-        augmented_planar=is_planar(sc.augmented),
+        # a subgraph of a planar graph is planar
+        planar=augmented_planar or is_planar(sc.subgraph),
+        augmented_planar=augmented_planar,
     )
 
 
@@ -172,56 +175,30 @@ def _decide_block(block: Graph, dec: SideDecomposition) -> ToroidalityVerdict:
     """Three-case decision for one 2-connected non-planar K3,3-free block,
     from the side decomposition of its TK5; certificate fields are relative
     to that block."""
-    tk5 = dec.witness
     reports = tuple(_report(sc) for sc in dec.components)
+    verdict = partial(ToroidalityVerdict, tk5=dec.witness, components=reports)
     bad = [sc for sc, r in zip(dec.components, reports) if not r.augmented_planar]
     if not bad:
-        return ToroidalityVerdict(TOROIDAL, CASE_I, tk5=tk5, components=reports)
+        return verdict(TOROIDAL, CASE_I)
     if len(bad) >= 2:
-        return ToroidalityVerdict(
+        return verdict(
             NON_TOROIDAL,
             CASE_TWO_NONPLANAR_AUGMENTED,
-            tk5=tk5,
-            components=reports,
             bad_components=tuple(sc.corners for sc in bad),
         )
     f = bad[0]
     if is_planar(f.subgraph):
         # f is planar and f.augmented is not, so the corner edge is absent
         # and f is special
-        return ToroidalityVerdict(
-            TOROIDAL,
-            CASE_II,
-            tk5=tk5,
-            components=reports,
-            special_corners=f.corners,
-        )
-    tm = build_m_subdivision(block, tk5, f)
+        return verdict(TOROIDAL, CASE_II, special_corners=f.corners)
+    tm = build_m_subdivision(block, dec.witness, f)
     if tm is None:
-        return ToroidalityVerdict(
-            NON_TOROIDAL,
-            CASE_NO_VALID_M,
-            tk5=tk5,
-            components=reports,
-            bad_components=(f.corners,),
-        )
-    mdec = decompose_by_corners(block, tm)
-    m_reports = tuple(_report(sc) for sc in mdec.components)
+        return verdict(NON_TOROIDAL, CASE_NO_VALID_M, bad_components=(f.corners,))
+    m_reports = tuple(_report(sc) for sc in decompose_by_corners(block, tm).components)
     m_bad = tuple(r.corners for r in m_reports if not r.augmented_planar)
-    if not m_bad:
-        return ToroidalityVerdict(
-            TOROIDAL,
-            CASE_III,
-            tk5=tk5,
-            components=reports,
-            tm=tm,
-            m_components=m_reports,
-        )
-    return ToroidalityVerdict(
-        NON_TOROIDAL,
-        CASE_FAILED_M,
-        tk5=tk5,
-        components=reports,
+    return verdict(
+        NON_TOROIDAL if m_bad else TOROIDAL,
+        CASE_FAILED_M if m_bad else CASE_III,
         bad_components=m_bad,
         tm=tm,
         m_components=m_reports,
@@ -253,19 +230,19 @@ def decide_toroidal(
     return replace(block_verdict, block_index=index, nonplanar_blocks=nonplanar)
 
 
-# the fields each case sets besides status and case; replay requires
-# exactly these, so that no claim rides along unchecked
+# each case's status and the fields it sets besides status and case;
+# replay requires exactly these, so that no claim rides along unchecked
 _ONE_BLOCK = {"block_index", "nonplanar_blocks", "tk5", "components"}
-_CASE_FIELDS = {
-    CASE_NOT_IN_CLASS: {"k33"},
-    CASE_ALL_PLANAR_BLOCKS: set(),
-    CASE_TWO_NONPLANAR_BLOCKS: {"nonplanar_blocks"},
-    CASE_I: _ONE_BLOCK,
-    CASE_TWO_NONPLANAR_AUGMENTED: _ONE_BLOCK | {"bad_components"},
-    CASE_II: _ONE_BLOCK | {"special_corners"},
-    CASE_NO_VALID_M: _ONE_BLOCK | {"bad_components"},
-    CASE_III: _ONE_BLOCK | {"tm", "m_components"},
-    CASE_FAILED_M: _ONE_BLOCK | {"bad_components", "tm", "m_components"},
+_CASES = {
+    CASE_NOT_IN_CLASS: (NOT_IN_CLASS, {"k33"}),
+    CASE_ALL_PLANAR_BLOCKS: (TOROIDAL, set()),
+    CASE_TWO_NONPLANAR_BLOCKS: (NON_TOROIDAL, {"nonplanar_blocks"}),
+    CASE_I: (TOROIDAL, _ONE_BLOCK),
+    CASE_TWO_NONPLANAR_AUGMENTED: (NON_TOROIDAL, _ONE_BLOCK | {"bad_components"}),
+    CASE_II: (TOROIDAL, _ONE_BLOCK | {"special_corners"}),
+    CASE_NO_VALID_M: (NON_TOROIDAL, _ONE_BLOCK | {"bad_components"}),
+    CASE_III: (TOROIDAL, _ONE_BLOCK | {"tm", "m_components"}),
+    CASE_FAILED_M: (NON_TOROIDAL, _ONE_BLOCK | {"bad_components", "tm", "m_components"}),
 }
 
 
@@ -302,19 +279,20 @@ def _check_side_components(
 
 def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     fields = {k for k, x in vars(v).items() if _is_set(x)} - {"status", "case"}
-    _require(fields == _CASE_FIELDS.get(v.case), f"exactly the fields of case {v.case}")
+    _require(
+        (v.status, fields) == _CASES.get(v.case),
+        f"the status and exactly the fields of case {v.case}",
+    )
     if v.case == CASE_NOT_IN_CLASS:
-        _require(v.status == NOT_IN_CLASS, "status NotInClass")
         _require(v.k33.pattern == K33_PATTERN, "a TK3,3 witness")
         v.k33.validate(g)
         return
     blks = blocks(g)
     nonplanar = tuple(i for i, b in enumerate(blks) if not is_planar(b))
     if v.case == CASE_ALL_PLANAR_BLOCKS:
-        _require(v.status == TOROIDAL and not nonplanar, "every block planar")
+        _require(not nonplanar, "every block planar")
         return
     if v.case == CASE_TWO_NONPLANAR_BLOCKS:
-        _require(v.status == NON_TOROIDAL, "status NonToroidal")
         _require(
             v.nonplanar_blocks == nonplanar and len(nonplanar) >= 2,
             "two or more non-planar blocks",
@@ -329,10 +307,9 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     dec = _check_side_components(block, v.tk5, v.components)
     bad = tuple(r.corners for r in v.components if not r.augmented_planar)
     if v.case == CASE_I:
-        _require(v.status == TOROIDAL and not bad, "every augmented component planar")
+        _require(not bad, "every augmented component planar")
         return
     if v.case == CASE_TWO_NONPLANAR_AUGMENTED:
-        _require(v.status == NON_TOROIDAL, "status NonToroidal")
         _require(
             v.bad_components == bad and len(bad) >= 2,
             "two or more non-planar augmented components",
@@ -341,13 +318,11 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     _require(len(bad) == 1, "exactly one non-planar augmented component")
     f = dec.component(*bad[0])
     if v.case == CASE_II:
-        _require(v.status == TOROIDAL, "status Toroidal")
         _require(v.special_corners == f.corners, "special corners")
         _require(is_special(f), "the component is special")
         return
     _require(not is_planar(f.subgraph), "the component is non-planar")
     if v.case == CASE_NO_VALID_M:
-        _require(v.status == NON_TOROIDAL, "status NonToroidal")
         _require(v.bad_components == (f.corners,), "the non-planar component")
         a, b = f.corners
         _require(
@@ -359,14 +334,6 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     _require(v.tm.pattern == M_PATTERN, "a TM witness")
     _check_side_components(block, v.tm, v.m_components)
     m_bad = tuple(r.corners for r in v.m_components if not r.augmented_planar)
-    if v.case == CASE_III:
-        _require(
-            v.status == TOROIDAL and not m_bad,
-            "every augmented M-side component planar",
-        )
-        return
-    _require(v.status == NON_TOROIDAL, "status NonToroidal")
-    _require(
-        v.bad_components == m_bad and bool(m_bad),
-        "the non-planar augmented M-side components",
-    )
+    # Case iii sets no bad components and FailedMCase some, so this one
+    # claim requires m_bad empty in the one and non-empty in the other
+    _require(v.bad_components == m_bad, "the non-planar augmented M-side components")

@@ -61,6 +61,13 @@ def test_contract_reduces_vertex_count_by_one():
         assert g.contract_edge(*e).n == g.n - 1
 
 
+def test_relabeling_that_merges_two_vertices_is_rejected():
+    # 0 -> 2 collides with vertex 2, which the mapping leaves as it is
+    with pytest.raises(GraphInputError):
+        Graph.path(3).relabeled({0: 2})
+    assert Graph.path(3).relabeled({0: 3}) == Graph((), [(1, 2), (1, 3)])
+
+
 def test_blocks_two_triangles_sharing_vertex():
     g = Graph((), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     assert set(blocks(g)) == {Graph.cycle(3), Graph((), [(2, 3), (3, 4), (4, 2)])}

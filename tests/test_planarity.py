@@ -7,6 +7,7 @@ from toroidal import (
     ClassViolationError,
     Graph,
     GraphInputError,
+    InternalError,
     builtin,
     find_k5_subdivision,
     is_planar,
@@ -136,6 +137,22 @@ def test_extraction_planarity_tests_on_kuratowski_graphs(
     assert len(calls) == lr_tests
     kept = sorted(tuple(sorted(e)) for e in h.edges())
     assert kept == list((k33 if g is chorded else g).edges)
+
+
+PRISM = Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    # five corners with a chain missing; six corners that are no K3,3;
+    # four corners.  K6 holds each, so only the shape is wrong
+    [Graph.complete(5).delete_edge(0, 1), PRISM, Graph.complete(4)],
+    ids=["K5 minus an edge", "triangular prism", "K4"],
+)
+def test_extraction_of_a_wrong_shape_is_an_internal_error(shape, monkeypatch):
+    monkeypatch.setattr(planarity, "_kuratowski_subgraph", lambda g: planarity._to_nx(shape))
+    with pytest.raises(InternalError):
+        kuratowski_witness(Graph.complete(6))
 
 
 def test_find_k5_subdivision_identity(k5):

@@ -327,6 +327,13 @@ def test_certificates_on_random_graphs():
     assert NOT_IN_CLASS in statuses and TOROIDAL in statuses
 
 
+def test_empty_branch_path_is_rejected_not_a_crash(k5):
+    v = decide_toroidal(k5)
+    tk5 = dataclasses.replace(v.tk5, branch_paths={**v.tk5.branch_paths, (0, 1): ()})
+    assert not tk5.holds_in(k5)
+    assert not verify_certificate(k5, dataclasses.replace(v, tk5=tk5))
+
+
 def test_verdict_json_roundtrip(k5, g4):
     for g in (k5, g4):
         v = decide_toroidal(g)
@@ -416,3 +423,15 @@ def test_replay_rejects_a_forged_field(forgery):
     v = decide_toroidal(g)
     assert verify_certificate(g, v)
     assert not verify_certificate(g, dataclasses.replace(v, **changes(v)))
+
+
+@pytest.mark.parametrize(
+    "case", list(json.loads(PAYLOADS_BY_CASE.read_text(encoding="utf-8")))
+)
+def test_replay_rejects_a_flipped_status(case):
+    pinned = json.loads(PAYLOADS_BY_CASE.read_text(encoding="utf-8"))
+    g = from_graph6(pinned[case]["graph6"])
+    v = decide_toroidal(g)
+    assert verify_certificate(g, v)
+    for status in {TOROIDAL, NON_TOROIDAL, NOT_IN_CLASS} - {v.status}:
+        assert not verify_certificate(g, dataclasses.replace(v, status=status))

@@ -7,13 +7,16 @@ genus oracle's rotation budget, or the subdivision search's step budget
 behind ``decide``, ``verify-obstructions`` and ``splits``.  ``decide`` and
 ``genus`` load and answer graph by graph: an input error or a budget refusal
 in one graph of a batch is reported for that graph and the rest go on; exit
-1 then takes precedence over 3, and 3 over 2.
+1 then takes precedence over 3, and 3 over 2.  141 = stdout closed before
+the output was written, as a shell reports a process that SIGPIPE ended;
+nothing goes to stderr then.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections.abc import Callable
@@ -38,6 +41,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CLASS = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 
 def _read_text(path: str) -> str:
@@ -120,34 +124,23 @@ def cmd_decide(args) -> int:
     return _answer_each(args, answer)
 
 
+_OBSTRUCTIONS = {
+    "minor": (MINOR_OBSTRUCTION_NAMES, verify_minor_obstruction),
+    "topological": (TOPOLOGICAL_OBSTRUCTION_NAMES, verify_topological_obstruction),
+}
+
+
 def cmd_verify_obstructions(args) -> int:
-    names = (
-        MINOR_OBSTRUCTION_NAMES
-        if args.kind == "minor"
-        else TOPOLOGICAL_OBSTRUCTION_NAMES
-    )
-    verify = (
-        verify_minor_obstruction
-        if args.kind == "minor"
-        else verify_topological_obstruction
-    )
+    names, verify = _OBSTRUCTIONS[args.kind]
     reports = {}
-    failures = []
     for name in names:
-        report = verify(builtin(name))
-        reports[name] = report
-        if not report["passes"]:
-            failures.append(name)
+        reports[name] = report = verify(builtin(name))
         if not args.json:
             print(f"{name}: {'PASS' if report['passes'] else 'FAIL'}")
+    failures = [name for name, report in reports.items() if not report["passes"]]
     if args.json:
-        print(
-            json.dumps(
-                {"kind": args.kind, "failures": failures, "reports": reports},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        out = {"kind": args.kind, "failures": failures, "reports": reports}
+        print(json.dumps(out, indent=2, sort_keys=True))
     elif failures:
         print(f"failures: {' '.join(failures)}")
     else:
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("verify-obstructions", help="verify the catalog")
-    p.add_argument("--kind", choices=("minor", "topological"), required=True)
+    p.add_argument("--kind", choices=tuple(_OBSTRUCTIONS), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_obstructions)
 
@@ -255,7 +248,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: later writes, the one at exit too, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except GraphInputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

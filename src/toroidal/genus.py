@@ -7,10 +7,13 @@ rule, and the Euler formula gives its genus.  One depth-first walker
 fixes the rotations vertex by vertex, counts faces as they close and cuts
 every branch whose face count Euler's formula puts outside the window
 asked for; minimum genus deepens that window genus by genus from a floor
-set by the girth.  Every exact oracle refuses outright when the rotation
-space exceeds the budget; a separate randomized helper can exhibit
-low-genus embeddings of graphs that are over budget but proves nothing by
-failing.
+set by the girth.  Reversing every rotation reverses every face, so a
+system and its mirror image trace as many faces: the walk keeps one
+rotation of each mirror pair at its first vertex of degree >= 3, and the
+genus distribution counts each system it meets twice.  Every exact oracle
+refuses outright when the rotation space exceeds the budget; a separate
+randomized helper can exhibit low-genus embeddings of graphs that are over
+budget but proves nothing by failing.
 """
 
 from __future__ import annotations
@@ -204,18 +207,17 @@ class _Walker:
     Refuses a space larger than ``budget`` on construction, and rejects a
     negative budget as an input error.  The tables are built when the
     first walk starts: min_genus_bruteforce's hill climb often answers
-    first, and one high-degree vertex's table can be large.  With
-    ``halve`` the first placed vertex of degree >= 3 keeps one of each
-    mirror pair of its rotations."""
+    first, and one high-degree vertex's table can be large.  The first
+    placed vertex of degree >= 3 keeps one of each mirror pair of its
+    rotations, so the walk meets one of each mirror pair of systems."""
 
-    def __init__(self, g: Graph, halve: bool, budget: int):
+    def __init__(self, g: Graph, budget: int):
         if budget < 0:
             raise GraphInputError(f"negative budget {budget}")
         size = rotation_space_size(g)
         if size > budget:
             raise GenusBudgetExceeded(size, budget)
         self.g = g
-        self.halve = halve
         self.genus0_faces = _genus0_faces(g)
         self.ceiling, self.shortest = _face_bounds(g)
         self.orders: list[list[tuple[int, ...]]] | None = None
@@ -229,7 +231,7 @@ class _Walker:
         self.vertices = _placement_order(g)
         self.orders = []
         self.updates: list[list[list[tuple[int, int]]]] = []
-        halved = not self.halve
+        halved = False
         for v in self.vertices:
             nbrs = g.neighbors(v)
             if not nbrs:
@@ -333,7 +335,7 @@ def min_genus_bruteforce(
     value is only an upper bound when it is <= ``stop_at``, and exact
     otherwise.
     """
-    walker = _Walker(g, halve=True, budget=budget)
+    walker = _Walker(g, budget)
     if g.m == 0:
         return 0
     base = walker.genus0_faces
@@ -348,12 +350,14 @@ def min_genus_bruteforce(
 
 
 def genus_distribution(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
-    """Number of rotation systems per genus (no symmetry reduction)."""
-    walker = _Walker(g, halve=False, budget=budget)
+    """Number of rotation systems per genus (no symmetry reduction); with
+    no vertex of degree >= 3, each system is its own mirror image."""
+    walker = _Walker(g, budget)
+    mirrors = 2 if any(g.degree(v) >= 3 for v in g.vertices) else 1
     dist: dict[int, int] = {}
     for faces in walker.walk(0, 2 * g.m):
         genus = (walker.genus0_faces - faces) // 2
-        dist[genus] = dist.get(genus, 0) + 1
+        dist[genus] = dist.get(genus, 0) + mirrors
     return dist
 
 
@@ -373,7 +377,7 @@ def count_torus_embeddings(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     global orientation reversal."""
     # every orbit keeps a member in the halved space: reflecting a system
     # mirrors the halved vertex's rotation
-    walker = _Walker(g, halve=True, budget=budget)
+    walker = _Walker(g, budget)
     faces = walker.genus0_faces - 2  # faces at genus exactly 1
     remaining = {  # genus-1 systems whose orbit is not counted yet
         _rotation_key(g, walker.rotation()) for _ in walker.walk(faces, faces)
@@ -454,15 +458,6 @@ def hill_climb_genus(
 
 def k7_torus_rotation() -> dict[int, tuple[int, ...]]:
     """A vertex-transitive rotation system embedding K7 in the torus with
-    14 triangular faces: every vertex uses the same cyclic difference
-    pattern mod 7 (found by searching the 120 candidate patterns)."""
-    g = Graph.complete(7)
-    for perm in itertools.permutations((2, 3, 4, 5, 6)):
-        diffs = (1,) + perm
-        rotation = {
-            v: tuple((v + d) % 7 for d in diffs) for v in range(7)
-        }
-        emb = trace_faces(g, rotation)
-        if emb.euler_genus == 1 and len(emb.faces) == 14:
-            return rotation
-    raise InternalError("no symmetric K7 torus rotation found")
+    14 triangular faces: every vertex v lists its neighbours as v + d mod 7
+    for d = 1, 3, 2, 6, 4, 5."""
+    return {v: tuple((v + d) % 7 for d in (1, 3, 2, 6, 4, 5)) for v in range(7)}

@@ -2,10 +2,14 @@
 
 Four graphs are the minor-order obstructions for the torus within the
 K3,3-free class; eleven are the topological obstructions, the extra seven
-arising from vertex splits of the first four.  ``verify_minor_obstruction``
-and ``verify_topological_obstruction`` check the defining minimality
-properties edge by edge, and ``enumerate_splits`` regenerates the full
-topological list from the minor-order seeds.
+arising from vertex splits of the first four.  One minimality predicate
+defines both: g has minimum degree 3 and is not toroidal, every
+single-edge deletion is toroidal, and for the minor order every
+single-edge contraction is too.  One lazy walk decides its clauses in that
+order; ``verify_minor_obstruction`` and ``verify_topological_obstruction``
+report every decision, and ``enumerate_splits``, which regenerates the
+full topological list from the minor-order seeds, stops at the first that
+fails.
 
 Both decide families of near-identical graphs, and each member reuses its
 parent's work.  A graph and its single-edge deletions share one pool of
@@ -90,81 +94,65 @@ def builtin(name: str) -> Graph:
 # -- minimality verification -------------------------------------------------
 
 
+def _min_degree_ok(g: Graph) -> bool:
+    return bool(g.vertices) and min(g.degree(v) for v in g.vertices) >= 3
+
+
+# the status each clause of the minimality predicate asks for
+_WANTED = {"status": NON_TOROIDAL, "deletions": TOROIDAL, "contractions": TOROIDAL}
+
+
+def _minimality(g: Graph, tk5s: list, contractions: bool = False):
+    """The decisions of the minimality predicate, one at a time, as
+    (clause, edge, status): g itself (edge None), each single-edge
+    deletion, and with ``contractions`` each single-edge contraction.
+    g and its deletions share the pool ``tk5s``, which may start with TK5s
+    of a related graph and gains every TK5 found: a TK5 of g survives the
+    deletion of any edge off it.  Each contraction gets the pool mapped
+    through the merge."""
+    yield "status", None, decide_toroidal(g, tk5s=tk5s).status
+    for e in g.edges:
+        yield "deletions", e, decide_toroidal(g.delete_edge(*e), tk5s=tk5s).status
+    for e in g.edges if contractions else ():
+        h, mapped = g.contract_edge(*e), [w.contracted(*e) for w in tk5s]
+        yield "contractions", e, decide_toroidal(h, tk5s=mapped).status
+
+
+def _report(g: Graph, contractions: bool) -> dict:
+    """Every decision of :func:`_minimality`; NotInClass anywhere marks the
+    report failed."""
+    decided = list(_minimality(g, [], contractions))
+    ok = _min_degree_ok(g)
+    report = {"min_degree_ok": ok, "status": decided[0][2], "deletions": []}
+    report["not_in_class"] = any(s == NOT_IN_CLASS for _, _, s in decided)
+    report["passes"] = ok and all(s == _WANTED[c] for c, _, s in decided)
+    if contractions:
+        report["contractions"] = []
+    for clause, e, status in decided[1:]:
+        report[clause].append({"edge": list(e), "status": status})
+    return report
+
+
 def verify_topological_obstruction(g: Graph) -> dict:
     """Report on: minimum degree 3, non-toroidal, and every single-edge
-    deletion toroidal.  NotInClass anywhere marks the report failed."""
-    return _topological_report(g, [])
-
-
-def _topological_report(g: Graph, tk5s: list) -> dict:
-    """The topological report, deciding g and its deletions with one pool
-    of TK5s: a TK5 of g survives every deletion of an edge off it."""
-    min_degree_ok = bool(g.vertices) and min(g.degree(v) for v in g.vertices) >= 3
-    status = decide_toroidal(g, tk5s=tk5s).status
-    deletions = [
-        {"edge": list(e), "status": decide_toroidal(g.delete_edge(*e), tk5s=tk5s).status}
-        for e in g.edges
-    ]
-    not_in_class = status == NOT_IN_CLASS or any(
-        d["status"] == NOT_IN_CLASS for d in deletions
-    )
-    passes = (
-        min_degree_ok
-        and not not_in_class
-        and status == NON_TOROIDAL
-        and all(d["status"] == TOROIDAL for d in deletions)
-    )
-    return {
-        "min_degree_ok": min_degree_ok,
-        "status": status,
-        "deletions": deletions,
-        "not_in_class": not_in_class,
-        "passes": passes,
-    }
+    deletion toroidal."""
+    return _report(g, contractions=False)
 
 
 def verify_minor_obstruction(g: Graph) -> dict:
     """Topological report plus the contraction clause: every single-edge
-    contraction must also be toroidal.  Each contraction is offered the
-    TK5s of g and its deletions, mapped through the merge."""
-    tk5s: list = []
-    report = _topological_report(g, tk5s)
-    contractions = [
-        {
-            "edge": list(e),
-            "status": decide_toroidal(
-                g.contract_edge(*e), tk5s=[w.contracted(*e) for w in tk5s]
-            ).status,
-        }
-        for e in g.edges
-    ]
-    report["contractions"] = contractions
-    report["not_in_class"] = report["not_in_class"] or any(
-        c["status"] == NOT_IN_CLASS for c in contractions
-    )
-    report["passes"] = (
-        report["passes"]
-        and not report["not_in_class"]
-        and all(c["status"] == TOROIDAL for c in contractions)
-    )
-    return report
+    contraction must also be toroidal."""
+    return _report(g, contractions=True)
 
 
 def is_topological_obstruction(g: Graph, tk5s: list | None = None) -> bool:
-    """Early-exit version of the topological report, for enumeration.
-
-    g and its deletions share the pool ``tk5s`` of TK5s, which may start
-    with TK5s of a related graph; every TK5 found here is added to it."""
-    if not g.vertices or min(g.degree(v) for v in g.vertices) < 3:
-        return False
-    if tk5s is None:
-        tk5s = []
-    if decide_toroidal(g, tk5s=tk5s).status != NON_TOROIDAL:
-        return False
-    for e in g.edges:
-        if decide_toroidal(g.delete_edge(*e), tk5s=tk5s).status != TOROIDAL:
-            return False
-    return True
+    """The topological predicate, stopping at the first decision that
+    fails it, for enumeration; g and its deletions share the pool ``tk5s``
+    of TK5s, as in :func:`_minimality`."""
+    return _min_degree_ok(g) and all(
+        status == _WANTED[c]
+        for c, _, status in _minimality(g, [] if tk5s is None else tk5s)
+    )
 
 
 # -- vertex splitting and the closure ----------------------------------------

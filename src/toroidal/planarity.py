@@ -31,7 +31,7 @@ from collections import Counter
 
 import networkx as nx
 
-from .errors import ClassViolationError, GraphInputError, InternalError
+from .errors import ClassViolationError, GraphInputError
 from .graphs import Graph
 from .subdivisions import K5_PATTERN, K33_PATTERN, SubdivisionWitness, pattern_graph
 
@@ -157,12 +157,9 @@ def kuratowski_witness(g: Graph) -> SubdivisionWitness:
     """A TK5 or TK3,3 inside the non-planar graph ``g``."""
     if is_planar(g):
         raise GraphInputError("kuratowski_witness needs a non-planar graph")
-    witness = _read_witness(_kuratowski_subgraph(g))
-    try:
-        witness.validate(g)
-    except ValueError as exc:
-        raise InternalError(f"extracted Kuratowski witness is invalid: {exc}") from exc
-    return witness
+    return _read_witness(_kuratowski_subgraph(g)).checked(
+        g, "extracted Kuratowski witness"
+    )
 
 
 def find_k5_subdivision(g: Graph) -> SubdivisionWitness:

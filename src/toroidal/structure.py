@@ -147,16 +147,11 @@ def _k33_from_bad_bridge(
     def leg(s: int, t: int) -> tuple[int, ...]:
         return legs[(s, t)] if (s, t) in legs else w.path(s, t)
 
-    witness = SubdivisionWitness(
+    return SubdivisionWitness(
         K33_PATTERN,
         dict(enumerate(left + right)),
         {(i, 3 + j): leg(s, t) for i, s in enumerate(left) for j, t in enumerate(right)},
-    )
-    try:
-        witness.validate(g)
-    except ValueError as exc:
-        raise InternalError(f"built TK3,3 witness is invalid: {exc}") from exc
-    return witness
+    ).checked(g, "built TK3,3 witness")
 
 
 def decompose_by_corners(
@@ -291,9 +286,6 @@ def _lift_through_augmentation(
             if {path[i], path[i + 1]} == {a, b}:
                 seg = detour if path[i] == a else detour[::-1]
                 paths[key] = path[:i] + seg + path[i + 2 :]
-    lifted = SubdivisionWitness(inner.pattern, dict(inner.corner_map), paths)
-    try:
-        lifted.validate(g)
-    except ValueError as exc:
-        raise InternalError(f"lifted TK3,3 witness is invalid: {exc}") from exc
-    return lifted
+    return SubdivisionWitness(inner.pattern, dict(inner.corner_map), paths).checked(
+        g, "lifted TK3,3 witness"
+    )

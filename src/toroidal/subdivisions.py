@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import GraphInputError, SearchBudgetExceeded
+from .errors import GraphInputError, InternalError, SearchBudgetExceeded
 from .graphs import Graph, _norm_edge
 
 # Pattern vertex conventions: K5 = 0..4; K3,3 = {0,1,2} vs {3,4,5};
@@ -147,6 +147,16 @@ class SubdivisionWitness:
         except ValueError:
             return False
         return True
+
+    def checked(self, g: Graph, what: str) -> SubdivisionWitness:
+        """This witness, once :meth:`validate` accepts it inside ``g``.  For
+        witnesses the package builds itself: a failure is its own fault, an
+        :class:`InternalError` naming ``what``."""
+        try:
+            self.validate(g)
+        except ValueError as exc:
+            raise InternalError(f"{what} is invalid: {exc}") from exc
+        return self
 
     def validate(self, g: Graph) -> None:
         """Raise ValueError unless this witness satisfies its invariants
@@ -354,9 +364,7 @@ def find_subdivision(
         return None
 
     witness = assign(0, {}, set())
-    if witness is not None:
-        witness.validate(g)
-    return witness
+    return None if witness is None else witness.checked(g, "searched witness")
 
 
 def has_subdivision(g: Graph, h: Graph | str) -> bool:

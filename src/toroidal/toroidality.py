@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .errors import CertificateError, GraphInputError, InternalError
+from .errors import CertificateError, GraphInputError
 from .graphs import Graph, blocks
 from .planarity import is_planar
 from .structure import (
@@ -163,12 +163,7 @@ def build_m_subdivision(
         )
         for mp, mq in pattern_graph(M_PATTERN).edges
     }
-    tm = SubdivisionWitness(M_PATTERN, corner_map, paths)
-    try:
-        tm.validate(g)
-    except ValueError as exc:
-        raise InternalError(f"combined TM is invalid: {exc}") from exc
-    return tm
+    return SubdivisionWitness(M_PATTERN, corner_map, paths).checked(g, "combined TM")
 
 
 def _decide_block(block: Graph, dec: SideDecomposition) -> ToroidalityVerdict:

@@ -108,6 +108,25 @@ def test_splits_default_seeds_print_the_pinned_lines():
     assert json.loads(done.stdout) == {"count": 11, "graphs": SPLITS_G1_TO_G4}
 
 
+@pytest.mark.parametrize(
+    "argv", [["splits"], ["decide", "--name", "K5", "--json"]], ids=["splits", "decide"]
+)
+def test_closed_stdout_exits_quietly(argv):
+    # the reader of stdout is gone before the first write: exit 141, as a
+    # shell reports SIGPIPE, with no traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "toroidal", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_genus_k5(capsys):
     code, out, _ = run(capsys, "genus", "--name", "K5")
     assert code == 0 and "genus = 1" in out

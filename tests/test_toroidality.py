@@ -8,6 +8,7 @@ import pytest
 from toroidal import (
     Graph,
     GraphInputError,
+    InternalError,
     SearchBudgetExceeded,
     SubdivisionWitness,
     builtin,
@@ -272,6 +273,20 @@ def test_build_m_subdivision_when_the_tk5_central_path_crosses_f(mgraph):
     tm = build_m_subdivision(mgraph, w, f)
     tm.validate(mgraph)
     assert tm.corners == frozenset(range(8)) and tm.branch_paths[(0, 1)] == (0, 1)
+
+
+def test_build_m_subdivision_checks_the_tm_it_builds(monkeypatch, mgraph):
+    # a pinned search that answers with a TK5 outside f: the joined TM
+    # repeats corners, which is the package's own fault, not the input's
+    from toroidal import toroidality
+
+    w = find_k5_subdivision(mgraph)
+    dec = decompose_by_corners(mgraph, w)
+    (f,) = [sc for sc in dec.components if not is_planar(sc.augmented)]
+    assert not w.corners <= set(f.subgraph.vertices)
+    monkeypatch.setattr(toroidality, "find_subdivision", lambda *args, **kw: w)
+    with pytest.raises(InternalError):
+        build_m_subdivision(mgraph, w, f)
 
 
 def test_build_m_subdivision_needs_nonplanar_component(k5):

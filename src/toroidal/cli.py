@@ -43,6 +43,16 @@ EXIT_CLASS = 2
 EXIT_BUDGET = 3
 EXIT_PIPE = 141
 
+# how a refusal is reported: its kind on stderr and its exit code
+_REFUSALS = {
+    GraphInputError: ("input error", EXIT_INPUT),
+    BudgetExceeded: ("budget refusal", EXIT_BUDGET),
+}
+
+
+def _refusal(exc: Exception) -> tuple[str, int]:
+    return next(v for t, v in _REFUSALS.items() if isinstance(exc, t))
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -95,11 +105,8 @@ def _answer_each(
     for label, load in _gather_inputs(args):
         try:
             fields, line, code = answer(load())
-        except (GraphInputError, BudgetExceeded) as exc:
-            if isinstance(exc, GraphInputError):
-                kind, code = "input error", EXIT_INPUT
-            else:
-                kind, code = "budget refusal", EXIT_BUDGET
+        except tuple(_REFUSALS) as exc:
+            kind, code = _refusal(exc)
             fields, line = {"error": str(exc)}, None
             if not args.json:
                 print(f"{label}: {kind}: {exc}", file=sys.stderr)
@@ -255,12 +262,10 @@ def main(argv=None) -> int:
         # the reader has gone: later writes, the one at exit too, go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except GraphInputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BudgetExceeded as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except tuple(_REFUSALS) as exc:
+        kind, code = _refusal(exc)
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -56,10 +56,7 @@ class RotationEmbedding:
                 darts.add((u, v))
         if len(darts) != 2 * g.m:
             raise ValueError("faces do not cover every directed edge once")
-        isolated = sum(1 for v in g.vertices if g.degree(v) == 0)
-        c = len(g.connected_components())
-        euler = g.n - g.m + len(self.faces) + isolated
-        if euler != 2 * c - 2 * self.euler_genus:
+        if _genus0_faces(g) - len(self.faces) != 2 * self.euler_genus:
             raise ValueError("Euler formula violated")
 
 

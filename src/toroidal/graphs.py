@@ -206,35 +206,16 @@ def bridges_of(g: Graph, h_vertices) -> list[BridgeOf]:
     for v in hv:
         if not g.has_vertex(v):
             raise GraphInputError(f"reference vertex {v} not in graph")
-    out = []
-    for u, v in g.edges:
-        if u in hv and v in hv:
-            out.append(
-                BridgeOf(frozenset((u, v)), frozenset(), frozenset(((u, v),)))
-            )
-    seen: set[int] = set()
-    for s in g.vertices:
-        if s in hv or s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for w in g.neighbors(x):
-                if w not in hv and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        edges = set()
-        attach = set()
-        for x in comp:
-            for w in g.neighbors(x):
-                if w in hv:
-                    attach.add(w)
-                    edges.add(_norm_edge(x, w))
-                elif w in comp:
-                    edges.add(_norm_edge(x, w))
-        out.append(BridgeOf(frozenset(attach), frozenset(comp), frozenset(edges)))
+    out = [
+        BridgeOf(frozenset(e), frozenset(), frozenset((e,)))
+        for e in g.edges
+        if e[0] in hv and e[1] in hv
+    ]
+    for comp in g.induced_subgraph(set(g.vertices) - hv).connected_components():
+        # a neighbour of the component outside it lies in the set
+        edges = {_norm_edge(x, w) for x in comp for w in g.neighbors(x)}
+        attach = {w for x in comp for w in g.neighbors(x) if w in hv}
+        out.append(BridgeOf(frozenset(attach), comp, frozenset(edges)))
     return out
 
 

@@ -174,14 +174,10 @@ def _match(g1: Graph, g2: Graph):
         return
     v1 = sorted(g1.vertices, key=lambda v: (-g1.degree(v), v))
     # invariant: degree plus sorted neighbor degrees
-    sig1 = {
-        v: (g1.degree(v), tuple(sorted(g1.degree(w) for w in g1.neighbors(v))))
-        for v in g1.vertices
-    }
-    sig2 = {
-        v: (g2.degree(v), tuple(sorted(g2.degree(w) for w in g2.neighbors(v))))
-        for v in g2.vertices
-    }
+    sig1, sig2 = (
+        {v: (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbors(v)))) for v in g.vertices}
+        for g in (g1, g2)
+    )
     mapping: dict[int, int] = {}
     used: set[int] = set()
 

@@ -27,6 +27,7 @@ and K3,3-freeness, so loading it runs no check of its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -63,7 +64,8 @@ def make_g4() -> Graph:
     return Graph(list(g.vertices) + [8, 9, 10], list(g.edges) + extra)
 
 
-def _load_catalog() -> dict[str, ObstructionRecord]:
+@functools.cache
+def catalog() -> dict[str, ObstructionRecord]:
     data = resources.files("toroidal.data")
     manifest = json.loads((data / "catalog.json").read_text())
     lines = (data / "catalog.g6").read_text().splitlines()
@@ -71,16 +73,6 @@ def _load_catalog() -> dict[str, ObstructionRecord]:
         entry["name"]: ObstructionRecord(entry["name"], entry["kind"], from_graph6(line))
         for entry, line in zip(manifest, lines, strict=True)
     }
-
-
-_catalog_cache: dict[str, ObstructionRecord] | None = None
-
-
-def catalog() -> dict[str, ObstructionRecord]:
-    global _catalog_cache
-    if _catalog_cache is None:
-        _catalog_cache = _load_catalog()
-    return _catalog_cache
 
 
 def builtin(name: str) -> Graph:
@@ -195,7 +187,7 @@ def all_splits(g: Graph):
         nbrs = g.neighbors(v)
         if len(nbrs) < 4:
             continue
-        anchor, rest = nbrs[0], nbrs[1:]
+        rest = nbrs[1:]  # the anchor nbrs[0] stays with v: each bipartition once
         for r in range(1, len(rest)):
             for moved in itertools.combinations(rest, r):
                 kept = frozenset(nbrs) - frozenset(moved)

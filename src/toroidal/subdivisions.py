@@ -242,12 +242,8 @@ def find_subdivision(
     host_sorted = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
 
     def candidates(p: int, taken: set[int]):
-        if p in require_corners:
-            v = require_corners[p]
-            if v not in taken and g.degree(v) >= pat.degree(p):
-                yield v
-            return
-        for v in host_sorted:
+        pin = require_corners.get(p)
+        for v in host_sorted if pin is None else [pin]:
             if v not in taken and g.degree(v) >= pat.degree(p):
                 yield v
 
@@ -402,7 +398,6 @@ def find_minor(g: Graph, h: Graph) -> dict[int, frozenset[int]] | None:
         return out & ~mask
 
     hvs = sorted(h.vertices, key=lambda p: (-h.degree(p), p))
-    hdeg = {p: h.degree(p) for p in h.vertices}
     placed: dict[int, int] = {}  # h-vertex -> branch mask
 
     def connected_subsets(allowed: int, max_size: int):

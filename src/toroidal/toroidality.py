@@ -172,17 +172,17 @@ def _decide_block(block: Graph, dec: SideDecomposition) -> ToroidalityVerdict:
     to that block."""
     reports = tuple(_report(sc) for sc in dec.components)
     verdict = partial(ToroidalityVerdict, tk5=dec.witness, components=reports)
-    bad = [sc for sc, r in zip(dec.components, reports) if not r.augmented_planar]
+    bad = [(sc, r) for sc, r in zip(dec.components, reports) if not r.augmented_planar]
     if not bad:
         return verdict(TOROIDAL, CASE_I)
     if len(bad) >= 2:
         return verdict(
             NON_TOROIDAL,
             CASE_TWO_NONPLANAR_AUGMENTED,
-            bad_components=tuple(sc.corners for sc in bad),
+            bad_components=tuple(r.corners for _, r in bad),
         )
-    f = bad[0]
-    if is_planar(f.subgraph):
+    f, r = bad[0]
+    if r.planar:
         # f is planar and f.augmented is not, so the corner edge is absent
         # and f is special
         return verdict(TOROIDAL, CASE_II, special_corners=f.corners)
@@ -300,23 +300,25 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     block = blks[v.block_index]
     _require(v.tk5.pattern == K5_PATTERN, "a TK5 witness")
     dec = _check_side_components(block, v.tk5, v.components)
-    bad = tuple(r.corners for r in v.components if not r.augmented_planar)
+    # the reports passed that check, so each states the planarity of the
+    # side component at its position
+    bad = [(sc, r) for sc, r in zip(dec.components, v.components) if not r.augmented_planar]
     if v.case == CASE_I:
         _require(not bad, "every augmented component planar")
         return
     if v.case == CASE_TWO_NONPLANAR_AUGMENTED:
         _require(
-            v.bad_components == bad and len(bad) >= 2,
+            v.bad_components == tuple(r.corners for _, r in bad) and len(bad) >= 2,
             "two or more non-planar augmented components",
         )
         return
     _require(len(bad) == 1, "exactly one non-planar augmented component")
-    f = dec.component(*bad[0])
+    f, r = bad[0]
     if v.case == CASE_II:
         _require(v.special_corners == f.corners, "special corners")
         _require(is_special(f), "the component is special")
         return
-    _require(not is_planar(f.subgraph), "the component is non-planar")
+    _require(not r.planar, "the component is non-planar")
     if v.case == CASE_NO_VALID_M:
         _require(v.bad_components == (f.corners,), "the non-planar component")
         a, b = f.corners

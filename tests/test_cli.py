@@ -318,6 +318,12 @@ def test_search_budget_refusal_exit_three(capsys, monkeypatch, argv):
     assert code == 3 and err.startswith("budget refusal: ")
 
 
+def test_input_error_exit_one(capsys, tmp_path):
+    for argv in (["splits", "--seeds", "nope"], ["isomorphic", str(tmp_path / "absent"), "K5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("input error: ")
+
+
 def test_decide_graph6_batch_survives_unparsable_line(tmp_path, capsys):
     path = tmp_path / "batch.g6"
     path.write_text("DhC\nnot-graph6!!\n")

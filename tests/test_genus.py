@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -36,6 +37,15 @@ def test_k4_planar_rotation(k4):
     emb = trace_faces(k4, rot)
     emb.validate()
     assert len(emb.faces) == 4 and emb.euler_genus == 0
+
+
+def test_validate_rejects_a_wrong_genus_or_a_missing_face(k4):
+    rot = {0: (1, 2, 3), 1: (2, 0, 3), 2: (0, 1, 3), 3: (0, 2, 1)}
+    emb = trace_faces(k4, rot)
+    with pytest.raises(ValueError, match="Euler formula violated"):
+        dataclasses.replace(emb, euler_genus=1).validate()
+    with pytest.raises(ValueError, match="faces do not cover every directed edge once"):
+        dataclasses.replace(emb, faces=emb.faces[1:]).validate()
 
 
 def test_k5_every_rotation_has_positive_genus(k5):

@@ -123,6 +123,26 @@ def test_bridges_partition_non_h_edges():
         assert sorted(covered) == list(g.edges)
 
 
+def test_bridges_of_matches_networkx_components():
+    """Each bridge's attachments, internal vertices and edges, in order:
+    the edges inside the set, then the components of g minus the set by
+    their least vertex, as networkx finds those components."""
+    rng = random.Random(7)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 10), 0.4)
+        hv = {v for v in g.vertices if rng.random() < 0.4}
+        ref = [(frozenset(e), frozenset(), frozenset([e])) for e in g.edges if set(e) <= hv]
+        rest = nx.Graph()
+        rest.add_nodes_from(set(g.vertices) - hv)
+        rest.add_edges_from(e for e in g.edges if not set(e) & hv)
+        for comp in sorted(nx.connected_components(rest), key=min):
+            edges = frozenset(e for e in g.edges if set(e) & comp)
+            attach = frozenset(v for e in edges for v in e) - comp
+            ref.append((attach, frozenset(comp), edges))
+        got = [(b.attachments, b.internal, b.edges) for b in bridges_of(g, hv)]
+        assert got == ref
+
+
 def test_graph6_roundtrip_and_matches_networkx():
     rng = random.Random(4)
     for _ in range(150):

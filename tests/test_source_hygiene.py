@@ -1,0 +1,73 @@
+"""Dead names in the package source: a module-level import that nothing
+reads, or a function local that is assigned and never read.
+
+Parsed with ``ast``, so nothing is imported or run.  ``__init__.py`` is
+skipped, as its imports are the package's re-exports; so are ``from
+__future__`` imports and the name ``_``.  A name that a function declares
+``nonlocal`` or ``global`` counts as read, as its binding outlives the
+call.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "toroidal"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _loads(tree) -> set[str]:
+    """Names read anywhere under ``tree``, nested scopes included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            out.add(node.target.id)
+        elif isinstance(node, (ast.Nonlocal, ast.Global)):
+            out.update(node.names)
+    return out
+
+
+def _import_names(node) -> list[str]:
+    return [(a.asname or a.name).split(".")[0] for a in node.names]
+
+
+def _stores(func) -> list[tuple[int, str]]:
+    """(line, name) of each binding in the function's own scope: nested
+    functions and classes are scopes of their own."""
+    out = []
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(node.lineno, name) for name in _import_names(node)]
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def dead_names(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = _loads(tree)
+    dead = [
+        (node.lineno, name)
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for name in _import_names(node)
+        if name not in read
+    ]
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read_here = _loads(func)
+            dead += [(line, name) for line, name in _stores(func) if name not in read_here]
+    return sorted(f"{path.name}:{line} {name}" for line, name in dead if name != "_")
+
+
+def test_no_unread_imports_or_locals():
+    assert [d for p in MODULES for d in dead_names(p)] == []

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from pathlib import Path
@@ -165,6 +166,29 @@ def test_two_nonplanar_augmented_certificate_path(k5):
         m_components=(),
     )
     assert verify_certificate(g, hand_built)
+
+
+def k5_chain(k, keep_glued):
+    """k copies of K5, copy i on 3i..3i+4, so copies i and i+1 share the
+    edge (3i+3, 3i+4); without ``keep_glued`` the shared edges are gone."""
+    edges = {e for i in range(k) for e in itertools.combinations(range(3 * i, 3 * i + 5), 2)}
+    if not keep_glued:
+        edges -= {(3 * i + 3, 3 * i + 4) for i in range(k - 1)}
+    return Graph(range(3 * k + 2), edges)
+
+
+@pytest.mark.parametrize("keep_glued", [True, False])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_k5_chains_are_two_nonplanar_augmented(k, keep_glued):
+    check(k5_chain(k, keep_glued), NON_TOROIDAL, CASE_TWO_NONPLANAR_AUGMENTED)
+
+
+@pytest.mark.parametrize(
+    "keep_glued, names", [(True, ["G1"]), (False, ["G2", "G3"])]
+)
+def test_k5_chain_of_three_holds_an_obstruction(keep_glued, names):
+    g = k5_chain(3, keep_glued)
+    assert all(has_minor(g, builtin(name)) for name in names)
 
 
 def test_g3_yields_no_valid_m():

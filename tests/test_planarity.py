@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -79,6 +81,50 @@ def _nx_planar(edges) -> bool:
     return nx.check_planarity(G)[0]
 
 
+def _lr_planar(G: nx.Graph) -> bool:
+    return planarity._lr_planar({v: list(G[v]) for v in G})
+
+
+def _lr_agrees(G: nx.Graph) -> bool:
+    return _lr_planar(G) == nx.check_planarity(G)[0]
+
+
+def test_lr_test_agrees_with_networkx_on_the_atlas():
+    from networkx.generators.atlas import graph_atlas_g
+
+    graphs = graph_atlas_g()
+    assert len(graphs) == 1253
+    assert all(_lr_agrees(G) for G in graphs)
+
+
+def test_lr_test_agrees_with_networkx_on_random_graphs():
+    # sparse enough that many have isolated vertices and several components
+    rng = random.Random(16)
+    planar = isolated = split = 0
+    for _ in range(500):
+        n = rng.randint(1, 40)
+        p = rng.uniform(0, min(1.0, 8 / n))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        rng.shuffle(edges)
+        G = nx.Graph()
+        G.add_nodes_from(rng.sample(range(n), n))
+        G.add_edges_from(edges)
+        assert _lr_agrees(G), (n, edges)
+        planar += nx.check_planarity(G)[0]
+        isolated += any(d == 0 for _, d in G.degree())
+        split += nx.number_connected_components(G) > 1
+    assert 100 < planar < 400 and isolated > 100 and split > 100
+
+
+def test_lr_test_on_a_grid_deeper_than_the_recursion_limit():
+    G = nx.convert_node_labels_to_integers(nx.grid_2d_graph(60, 60))
+    assert G.number_of_nodes() > sys.getrecursionlimit()
+    assert _lr_planar(G)
+    # the two diagonals of the outer face cross
+    G.add_edges_from([(0, 3599), (59, 3540)])
+    assert not _lr_planar(G)
+
+
 def _assert_edge_minimal_witness(g):
     w = kuratowski_witness(g)
     w.validate(g)
@@ -126,16 +172,16 @@ def test_extraction_planarity_tests_on_kuratowski_graphs(
         for e in list(g.edges):
             g = subdivide_edge(g, *e)
     calls = []
-    original = nx.check_planarity
+    original = planarity._lr_planar
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(adj):
+        calls.append(adj)
+        return original(adj)
 
-    monkeypatch.setattr(planarity.nx, "check_planarity", counting)
+    monkeypatch.setattr(planarity, "_lr_planar", counting)
     h = planarity._kuratowski_subgraph(g)
     assert len(calls) == lr_tests
-    kept = sorted(tuple(sorted(e)) for e in h.edges())
+    kept = sorted((u, v) for u in h for v in h[u] if u < v)
     assert kept == list((k33 if g is chorded else g).edges)
 
 
@@ -150,7 +196,11 @@ PRISM = Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3),
     ids=["K5 minus an edge", "triangular prism", "K4"],
 )
 def test_extraction_of_a_wrong_shape_is_an_internal_error(shape, monkeypatch):
-    monkeypatch.setattr(planarity, "_kuratowski_subgraph", lambda g: planarity._to_nx(shape))
+    monkeypatch.setattr(
+        planarity,
+        "_kuratowski_subgraph",
+        lambda g: {v: set(shape.neighbors(v)) for v in shape.vertices},
+    )
     with pytest.raises(InternalError):
         kuratowski_witness(Graph.complete(6))
 

@@ -4,42 +4,98 @@
 from discovered automorphisms (a miniature nauty; McKay & Piperno,
 "Practical graph isomorphism, II", 2014), and ``automorphism_generators``
 hands those automorphisms out, so that a caller can work on one member of
-each orbit; ``is_isomorphic`` is an independent backtracking matcher so the
-two can cross-check each other.
-Both are exact and intended for graphs up to roughly 16 vertices.
+each orbit.  ``refinement_invariant`` reads a cheap isomorphism invariant
+off the equitable partition at the search's root, so that a caller can
+skip the search for a graph that no other graph shares the invariant
+with.  Canonical searches are exact and intended for graphs up to roughly
+16 vertices.
+
+``is_isomorphic`` is an independent backtracking matcher, so the two can
+cross-check each other.  It keeps its choices on an explicit stack rather
+than recursing, so graph size bounds its time, not the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from .graphs import Graph, to_graph6
 
 
-def _refine(adj: list[int], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement: split cells by neighbor counts against every
-    cell until stable.  Deterministic given the input cell order."""
-    cells = [list(c) for c in cells]
-    work = list(range(len(cells)))
-    while work:
-        splitter_idx = work.pop(0)
-        if splitter_idx >= len(cells):
-            continue
-        smask = 0
-        for v in cells[splitter_idx]:
-            smask |= 1 << v
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _adjacency(g: Graph) -> list[int]:
+    """Neighbour bit masks over the positions of ``g.vertices``."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[idx[u]] |= 1 << idx[v]
+        adj[idx[v]] |= 1 << idx[u]
+    return adj
+
+
+def _refine(adj: list[int], cells: list[int], queue: list[int]) -> list[int]:
+    """Equitable refinement of the ordered partition ``cells`` (bit masks
+    that cover every vertex).  ``queue`` holds the cells it must still be
+    made equitable against: the whole vertex set at the search's root, and
+    only {v} once v is individualized in an equitable partition, as being
+    equitable against v's old cell and {v} makes it so against the rest.
+
+    Each queued splitter splits every cell by neighbour count into it, the
+    parts in increasing count order at the cell's position, and queues each
+    new part once; a partition equitable against a cell stays so as its
+    cells split further.  No step reads a vertex label, so relabeling the
+    graph relabels the result.  Stops once every cell is a singleton."""
+    cells = list(cells)
+    queue = deque(queue)
+    n = len(adj)
+    while queue and len(cells) < n:
+        splitter = queue.popleft()
         i = 0
         while i < len(cells):
             cell = cells[i]
-            if len(cell) > 1:
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault(bin(adj[v] & smask).count("1"), []).append(v)
+            if cell & (cell - 1):
+                groups: dict[int, int] = {}
+                for v in _members(cell):
+                    k = (adj[v] & splitter).bit_count()
+                    groups[k] = groups.get(k, 0) | 1 << v
                 if len(groups) > 1:
                     parts = [groups[k] for k in sorted(groups)]
                     cells[i : i + 1] = parts
-                    work.extend(range(i, len(cells)))
+                    queue.extend(parts)
                     i += len(parts) - 1
             i += 1
     return cells
+
+
+def _root_cells(adj: list[int]) -> list[int]:
+    """The equitable refinement of the unit partition: the root node of the
+    canonical search."""
+    everything = (1 << len(adj)) - 1
+    return _refine(adj, [everything], [everything]) if adj else []
+
+
+def refinement_invariant(g: Graph) -> tuple:
+    """An isomorphism invariant: the size of each cell of the root
+    partition of the canonical search, with the number of neighbours each
+    of its vertices has in every cell (the quotient matrix).  Isomorphic
+    graphs get equal invariants; graphs with equal invariants may still
+    differ."""
+    adj = _adjacency(g)
+    cells = _root_cells(adj)
+    return tuple(
+        (cell.bit_count(), tuple((adj[_members(cell)[0]] & other).bit_count() for other in cells))
+        for cell in cells
+    )
 
 
 class _CanonSearch:
@@ -55,12 +111,10 @@ class _CanonSearch:
         for i, v in enumerate(order):
             pos[v] = i
         rows = []
-        for i in range(self.n):
+        for v in order:
             mask = 0
-            av = self.adj[order[i]]
-            for j in range(self.n):
-                if (av >> order[j]) & 1:
-                    mask |= 1 << j
+            for w in _members(self.adj[v]):
+                mask |= 1 << pos[w]
             rows.append(mask)
         key = tuple(rows)
         if self.best_key is None or key < self.best_key:
@@ -106,37 +160,26 @@ class _CanonSearch:
                 reps.append(v)
         return reps
 
-    def search(self, cells: list[list[int]], fixed: list[int]):
-        cells = _refine(self.adj, cells)
-        target = None
-        for idx, c in enumerate(cells):
-            if len(c) > 1:
-                target = idx
-                break
+    def search(self, cells: list[int], fixed: list[int]):
+        """Branch on the first non-singleton cell of the equitable partition
+        ``cells``: individualize one vertex per orbit and refine against
+        it."""
+        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if target is None:
-            self._leaf([c[0] for c in cells])
+            self._leaf([c.bit_length() - 1 for c in cells])
             return
-        cell = sorted(cells[target])
-        for v in self._orbit_reps(cell, fixed):
-            nxt = (
-                cells[:target]
-                + [[v], [w for w in cells[target] if w != v]]
-                + cells[target + 1 :]
-            )
-            self.search(nxt, fixed + [v])
+        cell = cells[target]
+        for v in self._orbit_reps(_members(cell), fixed):
+            bit = 1 << v
+            nxt = cells[:target] + [bit, cell ^ bit] + cells[target + 1 :]
+            self.search(_refine(self.adj, nxt, [bit]), fixed + [v])
 
 
 def _canon_search(g: Graph) -> _CanonSearch:
-    verts = g.vertices
-    n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[idx[u]] |= 1 << idx[v]
-        adj[idx[v]] |= 1 << idx[u]
-    search = _CanonSearch(adj, n)
-    if n:
-        search.search([list(range(n))], [])
+    adj = _adjacency(g)
+    search = _CanonSearch(adj, g.n)
+    if g.n:
+        search.search(_root_cells(adj), [])
     return search
 
 
@@ -166,43 +209,76 @@ def canonical_form(g: Graph) -> str:
     return to_graph6(g.relabeled(canonical_labeling(g)))
 
 
+def _signatures(g: Graph) -> dict[int, tuple]:
+    """Per vertex: its degree, its neighbours' sorted degrees and the size
+    of its component."""
+    size = {v: len(comp) for comp in g.connected_components() for v in comp}
+    return {
+        v: (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbors(v))), size[v])
+        for v in g.vertices
+    }
+
+
 def _match(g1: Graph, g2: Graph):
-    """Backtracking isomorphism search, independent of canonical_form."""
+    """Backtracking isomorphism search, independent of canonical_form.
+
+    g1's vertices are mapped in breadth-first order from its highest-degree
+    vertices, so every vertex but the first of its component goes onto an
+    unused neighbour of its parent's image.  ``stack[i]`` holds the
+    remaining candidates for the i-th vertex of that order."""
     if g1.n != g2.n or g1.m != g2.m:
         return
-    if g1.degree_sequence() != g2.degree_sequence():
+    sig1, sig2 = _signatures(g1), _signatures(g2)
+    if sorted(sig1.values()) != sorted(sig2.values()):
         return
-    v1 = sorted(g1.vertices, key=lambda v: (-g1.degree(v), v))
-    # invariant: degree plus sorted neighbor degrees
-    sig1, sig2 = (
-        {v: (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbors(v)))) for v in g.vertices}
-        for g in (g1, g2)
-    )
+    order: list[int] = []
+    parent: dict[int, int | None] = {}
+    for root in sorted(g1.vertices, key=lambda v: (-g1.degree(v), v)):
+        if root in parent:
+            continue
+        parent[root] = None
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for w in g1.neighbors(u):
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
-    def extend(i: int):
-        if i == len(v1):
-            yield dict(mapping)
-            return
-        u = v1[i]
-        for w in g2.vertices:
-            if w in used or sig1[u] != sig2[w]:
-                continue
-            ok = True
-            for x, y in mapping.items():
-                if g1.has_edge(x, u) != g2.has_edge(y, w):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[u] = w
-            used.add(w)
-            yield from extend(i + 1)
-            del mapping[u]
-            used.discard(w)
+    def candidates(u: int):
+        p = parent[u]
+        images = [mapping[x] for x in g1.neighbors(u) if x in mapping]
+        for w in g2.vertices if p is None else g2.neighbors(mapping[p]):
+            if (
+                w not in used
+                and sig1[u] == sig2[w]
+                and sum(y in used for y in g2.neighbors(w)) == len(images)
+                and all(g2.has_edge(y, w) for y in images)
+            ):
+                yield w
 
-    yield from extend(0)
+    if not order:
+        yield {}
+        return
+    stack = [candidates(order[0])]
+    while stack:
+        u = order[len(stack) - 1]
+        if u in mapping:  # take back this level's previous choice
+            used.discard(mapping.pop(u))
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        mapping[u] = w
+        used.add(w)
+        if len(stack) == len(order):
+            yield dict(mapping)
+        else:
+            stack.append(candidates(order[len(stack)]))
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:

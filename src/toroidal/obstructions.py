@@ -17,7 +17,10 @@ TK5s, offered to each contraction mapped through the merge, so a block
 whose TK5 survives needs no new Kuratowski extraction.  The splits of a
 graph are applied one per orbit of its automorphisms, which come from the
 canonical search that labels it, and each split child starts from its
-parent's pool mapped through the split.
+parent's pool mapped through the split.  A child isomorphic to an earlier
+graph is skipped: each child is keyed by a cheap isomorphism invariant,
+and only children whose invariant an earlier graph shares pay for
+canonical forms.
 
 The catalog is versioned graph6 data, read as stored.  Its M and G4 equal
 the constructions :func:`~toroidal.structure.m_graph` and :func:`make_g4`
@@ -35,7 +38,7 @@ from importlib import resources
 
 from .errors import GraphInputError
 from .graphs import Graph, from_graph6, to_graph6
-from .isomorphism import automorphism_generators, canonical_form
+from .isomorphism import automorphism_generators, canonical_form, refinement_invariant
 from .structure import m_graph
 from .toroidality import NON_TOROIDAL, NOT_IN_CLASS, TOROIDAL, decide_toroidal
 
@@ -222,9 +225,40 @@ def _split_orbits(g: Graph, generators) -> list[list[SplitOperation]]:
     return orbits
 
 
+class _IsomorphismClasses:
+    """The isomorphism classes of the graphs added so far, keyed by
+    :func:`~toroidal.isomorphism.refinement_invariant` and split by
+    canonical form only where two graphs share an invariant.
+
+    The first graph of an invariant is kept as its graph6 string, and gets
+    its canonical form only when a second graph arrives with that
+    invariant; from then on the invariant keeps nothing but its forms."""
+
+    def __init__(self):
+        self._first: dict[tuple, str] = {}
+        self._forms: dict[tuple, set[str]] = {}
+
+    def add(self, g: Graph) -> bool:
+        """Add g; False if a graph isomorphic to g was added before."""
+        key = refinement_invariant(g)
+        forms = self._forms.get(key)
+        if forms is None:
+            first = self._first.pop(key, None)
+            if first is None:
+                self._first[key] = to_graph6(g)
+                return True
+            forms = self._forms[key] = {canonical_form(from_graph6(first))}
+        form = canonical_form(g)
+        if form in forms:
+            return False
+        forms.add(form)
+        return True
+
+
 def enumerate_splits(seeds, ceiling: int = 16) -> list[Graph]:
     """Closure of the seeds under vertex splits, keeping only K3,3-free
-    topological obstructions; deduplicated by canonical form.
+    topological obstructions; deduplicated by isomorphism invariant, then
+    by canonical form where two graphs share an invariant.
 
     Splitting only verified obstructions loses nothing: a failed deletion
     in any graph survives (as a minor) in all of its splits, so every
@@ -233,9 +267,13 @@ def enumerate_splits(seeds, ceiling: int = 16) -> list[Graph]:
     Only the first split of each orbit under the automorphisms that the
     canonical search of the parent records is applied.  An automorphism
     maps one split's child onto the other's, so a later member of an orbit
-    has the canonical form of the first, which is by then accepted or
-    rejected; the first split of each canonical form is still applied
-    first, so the result is the same as splitting every way.
+    is isomorphic to the first, which is by then accepted or rejected; the
+    first split of each isomorphism class is still applied first, so the
+    result is the same as splitting every way.
+
+    A graph, seed or child, is skipped exactly when it is isomorphic to an
+    earlier one (:class:`_IsomorphismClasses`).  Most children have an
+    invariant of their own, so most skip the canonical search.
 
     Each child starts from the TK5s that its parent and the parent's
     deletions found, mapped through the split
@@ -243,17 +281,16 @@ def enumerate_splits(seeds, ceiling: int = 16) -> list[Graph]:
     TK5 is used only where it validates, and no status depends on which
     TK5 a decision uses.
     """
-    accepted: dict[str, Graph] = {}
+    accepted: list[Graph] = []
+    seen = _IsomorphismClasses()
     frontier: list[tuple[Graph, list]] = []
     for seed in seeds:
-        key = canonical_form(seed)
-        if key in accepted:
+        if not seen.add(seed):
             continue
         tk5s: list = []
         if is_topological_obstruction(seed, tk5s):
-            accepted[key] = seed.normalized()
+            accepted.append(seed.normalized())
             frontier.append((seed, tk5s))
-    rejected: set[str] = set()
     while frontier:
         g, pool = frontier.pop(0)
         if g.n + 1 > ceiling:  # every split adds one vertex
@@ -262,14 +299,10 @@ def enumerate_splits(seeds, ceiling: int = 16) -> list[Graph]:
         for orbit in _split_orbits(g, automorphism_generators(g)):
             op = orbit[0]
             child = apply_split(g, op)
-            key = canonical_form(child)
-            if key in accepted or key in rejected:
+            if not seen.add(child):
                 continue
             tk5s = [w.split(op.vertex, op.part_moved, new) for w in pool]
             if is_topological_obstruction(child, tk5s):
-                accepted[key] = child.normalized()
+                accepted.append(child.normalized())
                 frontier.append((child, tk5s))
-            else:
-                rejected.add(key)
-    out = sorted(accepted.values(), key=lambda h: (h.n, h.m, to_graph6(h)))
-    return out
+    return sorted(accepted, key=lambda h: (h.n, h.m, to_graph6(h)))

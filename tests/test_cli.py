@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from toroidal import Graph, builtin, decide_toroidal, to_edge_list_text, to_grap
 from toroidal.cli import main
 
 from conftest import SPLITS_G1_TO_G4, g3_with_k4s
+
+SPLITS_JSON = Path(__file__).resolve().parent / "data" / "splits_g1_g4.json"
 
 
 def run(capsys, *argv):
@@ -99,13 +102,15 @@ def test_splits_with_k5_seed_is_empty(capsys):
 
 
 def test_splits_default_seeds_print_the_pinned_lines():
-    # through ``python -m toroidal``, with the package on the current path
+    # through ``python -m toroidal``, with the package on the current path;
+    # the stored file is the output of the search that labeled every child
     done = subprocess.run(
         [sys.executable, "-m", "toroidal", "splits", "--json"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert json.loads(done.stdout) == {"count": 11, "graphs": SPLITS_G1_TO_G4}
+    assert done.stdout == SPLITS_JSON.read_text()
 
 
 @pytest.mark.parametrize(
@@ -203,6 +208,15 @@ def test_isomorphic_file_vs_name(tmp_path, capsys):
     assert code == 0 and out.strip() == "true"
     code, out, _ = run(capsys, "isomorphic", str(path), "M")
     assert out.strip() == "false"
+
+
+def test_isomorphic_on_cycles_longer_than_the_recursion_limit(tmp_path, capsys):
+    n = 1500
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(to_edge_list_text(Graph.cycle(n)))
+    b.write_text(to_edge_list_text(Graph.cycle(n).relabeled({i: (7 * i) % n for i in range(n)})))
+    code, out, _ = run(capsys, "isomorphic", str(a), str(b))
+    assert code == 0 and out == "true\n"
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -4,13 +4,15 @@ import random
 from toroidal import (
     Graph,
     automorphisms,
+    builtin,
     canonical_form,
     canonical_labeling,
     find_isomorphism,
     is_isomorphic,
 )
+from toroidal.isomorphism import _adjacency, _members, _refine, _root_cells, refinement_invariant
 
-from conftest import all_labeled_graphs, random_graph
+from conftest import PETERSEN, all_labeled_graphs, random_graph
 
 
 def brute_force_classes(n: int) -> int:
@@ -87,3 +89,88 @@ def test_automorphism_counts():
     assert len(automorphisms(Graph.complete(5))) == 120
     assert len(automorphisms(Graph.cycle(5))) == 10
     assert len(automorphisms(Graph.complete_bipartite(3, 3))) == 72
+    assert len(automorphisms(PETERSEN)) == 120
+
+
+# -- the matcher is iterative ------------------------------------------------
+
+
+def test_matcher_on_cycles_longer_than_the_recursion_limit():
+    # the matcher used to recurse once per vertex and raised RecursionError
+    # past about 1,000 vertices
+    n = 1500
+    cycle = Graph.cycle(n)
+    perm = list(range(n))
+    random.Random(17).shuffle(perm)
+    relabeled = cycle.relabeled({i: perm[i] for i in range(n)})
+    mapping = find_isomorphism(cycle, relabeled)
+    assert mapping is not None
+    assert {tuple(sorted((mapping[u], mapping[v]))) for u, v in cycle.edges} == set(relabeled.edges)
+    two_halves = Graph.cycle(n // 2).disjoint_union(Graph.cycle(n // 2))
+    assert not is_isomorphic(cycle, two_halves)
+    assert not is_isomorphic(two_halves, cycle)
+
+
+def test_find_isomorphism_maps_edges_onto_edges_exactly():
+    # sparse pairs too, which often have several components
+    rng = random.Random(18)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        p = rng.choice((0.25, 0.5))
+        g, h = random_graph(rng, n, p), random_graph(rng, n, p)
+        mapping = find_isomorphism(g, h)
+        assert (mapping is not None) == (canonical_form(g) == canonical_form(h))
+        if mapping is not None:
+            assert {tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges} == set(h.edges)
+
+
+# -- the refinement and the invariant read off it ------------------------------
+
+
+def _is_equitable(adj: list[int], cells: list[int]) -> bool:
+    """Within each cell, every vertex has the same number of neighbours in
+    each cell."""
+    return all(
+        len({(adj[v] & other).bit_count() for v in _members(cell)}) == 1
+        for cell in cells
+        for other in cells
+    )
+
+
+def _refinement_inputs(rng: random.Random) -> list[Graph]:
+    """200 seeded G(n,p) graphs with n <= 14, and G1..G11."""
+    graphs = [random_graph(rng, rng.randint(1, 14), rng.random()) for _ in range(200)]
+    return graphs + [builtin(f"G{i}") for i in range(1, 12)]
+
+
+def test_refinement_gives_equitable_partitions():
+    # at the root, and after each individualization of the search's first
+    # branching, which queues only the new singleton
+    for g in _refinement_inputs(random.Random(19)):
+        adj = _adjacency(g)
+        cells = _root_cells(adj)
+        assert sorted(v for cell in cells for v in _members(cell)) == list(range(g.n))
+        assert _is_equitable(adj, cells)
+        i = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        for v in _members(cells[i]) if i is not None else ():
+            bit = 1 << v
+            child = _refine(adj, cells[:i] + [bit, cells[i] ^ bit] + cells[i + 1 :], [bit])
+            assert _is_equitable(adj, child)
+
+
+def test_refinement_invariant_survives_relabeling():
+    rng = random.Random(20)
+    for g in _refinement_inputs(rng):
+        perm = list(range(100, 100 + g.n))
+        rng.shuffle(perm)
+        h = g.relabeled(dict(zip(g.vertices, perm)))
+        assert refinement_invariant(g) == refinement_invariant(h)
+
+
+def test_equal_canonical_forms_have_equal_invariants():
+    invariants: dict[str, tuple] = {}
+    graphs = 0
+    for g in all_labeled_graphs(5):
+        graphs += 1
+        assert invariants.setdefault(canonical_form(g), refinement_invariant(g)) == refinement_invariant(g)
+    assert graphs == 1024 and len(invariants) == 34

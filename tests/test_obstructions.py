@@ -25,16 +25,17 @@ from toroidal import (
     verify_minor_obstruction,
     verify_topological_obstruction,
 )
-from toroidal import structure
+from toroidal import isomorphism, structure
 from toroidal.obstructions import (
     MINOR_OBSTRUCTION_NAMES,
     MINOR_ORDER,
     REFERENCE,
     TOPOLOGICAL_OBSTRUCTION_NAMES,
     TOPOLOGICAL_ONLY,
+    _IsomorphismClasses,
     _split_orbits,
 )
-from toroidal.isomorphism import automorphism_generators
+from toroidal.isomorphism import automorphism_generators, refinement_invariant
 
 from conftest import SPLITS_G1_TO_G4, two_k5s_shared_vertex
 
@@ -356,3 +357,30 @@ def test_split_children_reuse_their_parent_pool(monkeypatch):
     assert [to_graph6(g) for g in found] == SPLITS_G1_TO_G4
     # 214 extractions with an empty pool per child; 120 with the mapped pool
     assert len(calls) < 160
+
+
+def test_split_regeneration_pays_for_few_canonical_searches(monkeypatch):
+    # 109 searches when every child got a canonical form: 98 forms, and the
+    # automorphisms of the 11 accepted graphs
+    calls = []
+    search = isomorphism._canon_search
+
+    def counting(g):
+        calls.append(g)
+        return search(g)
+
+    monkeypatch.setattr(isomorphism, "_canon_search", counting)
+    found = enumerate_splits([builtin(name) for name in MINOR_OBSTRUCTION_NAMES], ceiling=16)
+    assert [to_graph6(g) for g in found] == SPLITS_G1_TO_G4
+    assert len(calls) <= 40
+
+
+def test_isomorphism_classes_split_an_invariant_by_canonical_form():
+    # a 6-cycle and two triangles are both 2-regular on six vertices, so
+    # they share one invariant
+    classes = _IsomorphismClasses()
+    cycle, triangles = Graph.cycle(6), Graph.cycle(3).disjoint_union(Graph.cycle(3))
+    assert refinement_invariant(cycle) == refinement_invariant(triangles)
+    assert classes.add(cycle) and classes.add(triangles)
+    assert not classes.add(cycle.relabeled({0: 10})) and not classes.add(triangles)
+    assert classes.add(Graph.path(6))

@@ -3,11 +3,11 @@ split enumeration, and the genus oracle.
 
 Exit codes: 0 = query answered (whatever the verdict), 1 = input error,
 2 = class violation (some input contains a K3,3), 3 = budget refusal: the
-genus oracle's rotation budget, or the subdivision search's step budget
-behind ``decide``, ``verify-obstructions`` and ``splits``.  ``decide`` and
-``genus`` load and answer graph by graph: an input error or a budget refusal
-in one graph of a batch is reported for that graph and the rest go on; exit
-1 then takes precedence over 3, and 3 over 2.  141 = stdout closed before
+genus oracle's rotation budget; ``decide``, ``verify-obstructions`` and
+``splits`` run no budgeted search.  ``decide`` and ``genus`` load and
+answer graph by graph: an input error or a budget refusal in one graph of
+a batch is reported for that graph and the rest go on; exit 1 then takes
+precedence over 3, and 3 over 2.  141 = stdout closed before
 the output was written, as a shell reports a process that SIGPIPE ended;
 nothing goes to stderr then.
 """

@@ -8,16 +8,18 @@ place of the decomposition: it certifies a K3,3-subdivision, and for a TK5
 one is built from it.  :func:`scan_block` makes one pass over a block,
 recursing into each augmented side component, itself a block: it either
 finds a TK3,3 or returns the decomposition that the toroidality decision
-starts from.  :func:`scan` runs it over the blocks of a graph, and both
-the class check and the decision call it, so they share one Kuratowski
-extraction per block.  Across a family of related graphs, a pool of TK5s
-saves even that where one of them validates.
+starts from, keeping each component's scan for :func:`pinned_tk5`.
+:func:`scan` runs it over the blocks of a graph, and both the class check
+and the decision call it, so they share one Kuratowski extraction per
+block.  Across a family of related graphs, a pool of TK5s saves even that
+where one of them validates.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GraphInputError, InternalError
 from .graphs import BridgeOf, Graph, blocks, bridges_of
@@ -48,6 +50,10 @@ class SideComponent:
     @property
     def corner_edge_present(self) -> bool:
         return self.subgraph.has_edge(*self.corners)
+
+    @cached_property
+    def scan(self) -> SubdivisionWitness | SideDecomposition | None:
+        return scan_block(self.augmented)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,9 +241,8 @@ def scan_block(
     if isinstance(dec, BridgeOf):
         return _k33_from_bad_bridge(block, w, dec)
     for sc in dec.components:
-        inner = scan_block(sc.augmented)
-        if isinstance(inner, SubdivisionWitness):
-            return _lift_through_augmentation(block, w, inner, *sc.corners)
+        if isinstance(sc.scan, SubdivisionWitness):
+            return _lift_through_augmentation(block, w, sc.scan, *sc.corners)
     return dec
 
 
@@ -266,6 +271,33 @@ def is_k33_free(g: Graph) -> bool:
     return find_k33_subdivision(g) is None
 
 
+def pinned_tk5(f: SideComponent) -> SubdivisionWitness | None:
+    """A TK5 of ``f.subgraph`` whose corners hold f's corners a and b, or
+    None; f lies in a K3,3-free block.  There every TK5's corners are one
+    K5 piece of the split along 2-separations (Wagner; Hall), and a piece
+    holding a and b lies on the side of ab, so the walk goes down f's scan
+    toward ab and lifts what it meets.  The rest of a pinned TK5 fills one
+    {a, b}-bridge of f, or a TK3,3 closes, so a-b runs through another.
+    """
+    a, b = f.corners
+    h, found, walked = f.augmented, f.scan, []
+    while found is not None and not {a, b} <= found.witness.corners:
+        sc = next(sc for sc in found.components if sc.subgraph.has_edge(a, b))
+        walked.append((h, found.witness, sc.corners))
+        h, found = sc.augmented, sc.scan
+    if found is None:
+        return None
+    t = found.witness
+    for h, w, (c, d) in reversed(walked):
+        t = _lift_through_augmentation(h, w, t, c, d)
+    if f.corner_edge_present or t.path(a, b) != (a, b):
+        return t
+    for br in bridges_of(f.subgraph, f.corners):
+        if br.internal.isdisjoint(t.corners):  # the rest of t is in one bridge
+            return _reroute(f.subgraph, t, _bfs_path(f.subgraph, [a], br.internal, {b}))
+    return None
+
+
 def _lift_through_augmentation(
     g: Graph,
     outer: SubdivisionWitness,
@@ -274,18 +306,23 @@ def _lift_through_augmentation(
     b: int,
 ) -> SubdivisionWitness:
     """Replace the step a-b of ``inner`` over the artificial corner edge ab,
-    which a TK3,3 uses at most once, by a detour through a third corner c of
-    the outer TK5, which meets both."""
+    which a witness uses at most once, by a detour through a third corner c
+    of the outer TK5, which meets both."""
     if g.has_edge(a, b):
         return inner  # ab is a real edge
     c = min(outer.corners - {a, b})
-    detour = outer.path(a, c) + outer.path(c, b)[1:]
-    paths = dict(inner.branch_paths)
+    return _reroute(g, inner, outer.path(a, c) + outer.path(c, b)[1:])
+
+
+def _reroute(g: Graph, w: SubdivisionWitness, detour) -> SubdivisionWitness:
+    """w with its step between the ends of ``detour`` replaced by it."""
+    a, b = detour[0], detour[-1]
+    paths = dict(w.branch_paths)
     for key, path in paths.items():
         for i in range(len(path) - 1):
             if {path[i], path[i + 1]} == {a, b}:
                 seg = detour if path[i] == a else detour[::-1]
                 paths[key] = path[:i] + seg + path[i + 2 :]
-    return SubdivisionWitness(inner.pattern, dict(inner.corner_map), paths).checked(
-        g, "lifted TK3,3 witness"
+    return SubdivisionWitness(w.pattern, dict(w.corner_map), paths).checked(
+        g, f"rerouted {w.pattern} witness"
     )

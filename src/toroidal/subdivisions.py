@@ -22,9 +22,9 @@ K5_PATTERN = "K5"
 K33_PATTERN = "K3,3"
 M_PATTERN = "M"
 
-# path-search steps one find_subdivision call may take; the most that one
-# call took over the benchmark corpora and 41-vertex G3/G4 clique sums was
-# about 5.4e4 steps, half a second
+# path-search steps one find_subdivision call may take.  No decision
+# searches, so the tests and the benchmark are its only callers; a pinned
+# TK5 search in one 23-vertex K3,3-free block passes this budget.
 SEARCH_BUDGET = 10_000_000
 
 

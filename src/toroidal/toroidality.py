@@ -5,14 +5,14 @@ its unique non-planar block (genus is additive over blocks and connected
 components), the side components of a K5-subdivision are planar once
 augmented, or all but one are and the last is special, or an M-subdivision
 exists whose augmented side components are all planar.  That last case
-needs no search of the whole block: the M-subdivision is the TK5 joined
-with a TK5 of the one bad side component pinned at its corners, and when
+needs no search: the M-subdivision is the TK5 joined with a TK5 of the
+one bad side component pinned at its corners, read off its scan, and when
 that component holds none, the graph is not toroidal.  Out-of-class inputs
 are reported as such, with a TK3,3 witness, rather than decided.
 
 Every verdict carries a machine-checkable certificate;
 :func:`verify_certificate` replays its claims against the planarity and
-subdivision modules.
+structure modules.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .structure import (
     SideDecomposition,
     decompose_by_corners,
     is_special,
+    pinned_tk5,
     scan,
 )
 from .subdivisions import (
@@ -36,7 +37,6 @@ from .subdivisions import (
     K33_PATTERN,
     M_PATTERN,
     SubdivisionWitness,
-    find_subdivision,
     pattern_graph,
 )
 
@@ -133,22 +133,18 @@ def build_m_subdivision(
     pinned at the corners a, b of ``f``, the one side component of w whose
     augmentation is non-planar; None when f holds no such TK5.
 
-    None settles the case: g is then not toroidal.  In a K3,3-free block
-    the corners of a TK5 are the five vertices of one K5 piece of its
-    Wagner/Hall decomposition along 2-separations, and the two halves of a
-    TM share its central pair.  When f holds no TK5 pinned at a, b, every
-    TM of g misses the K5 piece of w, which then makes some augmented side
-    component of that TM non-planar.
-
-    Raises :class:`SearchBudgetExceeded` when the pinned search passes its
-    budget.
+    None settles the case: g is then not toroidal.  The two halves of a TM
+    are K5 pieces of the block sharing its central pair (see
+    :func:`~toroidal.structure.pinned_tk5`, which reads the pinned TK5 off
+    f's scan).  When f holds none, every TM of g misses the K5 piece of w,
+    which then makes some augmented side component of that TM non-planar.
     """
     if is_planar(f.subgraph):
         raise GraphInputError(
             "build_m_subdivision needs the non-planar side component"
         )
     a, b = f.corners
-    inner = find_subdivision(f.subgraph, K5_PATTERN, require_corners={0: a, 1: b})
+    inner = pinned_tk5(f)
     if inner is None:
         return None
     # M corners: 0, 1 = a, b; 2..4 the rest of w; 5..7 the rest of inner
@@ -314,6 +310,8 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
         return
     _require(len(bad) == 1, "exactly one non-planar augmented component")
     f, r = bad[0]
+    if v.case in (CASE_II, CASE_NO_VALID_M):  # the theorem holds only in the class
+        _require(not isinstance(f.scan, SubdivisionWitness), "no TK3,3 in the component")
     if v.case == CASE_II:
         _require(v.special_corners == f.corners, "special corners")
         _require(is_special(f), "the component is special")
@@ -321,12 +319,8 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     _require(not r.planar, "the component is non-planar")
     if v.case == CASE_NO_VALID_M:
         _require(v.bad_components == (f.corners,), "the non-planar component")
-        a, b = f.corners
-        _require(
-            find_subdivision(f.subgraph, K5_PATTERN, require_corners={0: a, 1: b})
-            is None,
-            "no TK5 in the component pinned at its corners",
-        )
+        tm = build_m_subdivision(block, v.tk5, f)
+        _require(tm is None, "no TK5 in the component pinned at its corners")
         return
     _require(v.tm.pattern == M_PATTERN, "a TM witness")
     _check_side_components(block, v.tm, v.m_components)

@@ -100,8 +100,9 @@ def g3_with_k4s() -> Graph:
 
 def g3_tail() -> Graph:
     """A 30-vertex G3 clique sum, one of the benchmark's fixed tail graphs:
-    NonToroidal/NoValidM, and the pinned TK5 search in its bad side
-    component takes steps both when deciding and when replaying."""
+    NonToroidal/NoValidM: its bad side component holds no TK5 pinned at
+    its corners, which an exhaustive pinned search takes steps to rule
+    out."""
     return Graph(
         range(30),
         [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 3),

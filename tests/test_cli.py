@@ -299,8 +299,9 @@ def test_decide_batch_past_sixteen_vertices(tmp_path, capsys):
     assert out == f"{path}:0: Toroidal Case-i\n{path}:1: NonToroidal NoValidM\n"
 
 
-def test_decide_batch_survives_search_budget_refusal(tmp_path, capsys, monkeypatch):
-    # G4's pinned TK5 search takes steps, so a budget of 0 refuses it
+def test_decide_batch_needs_no_search_budget(tmp_path, capsys, monkeypatch):
+    # no decision searches, so a search budget of 0 refuses nothing: G4's
+    # Case iii reads its pinned TK5 off the scan
     from toroidal import subdivisions
 
     monkeypatch.setattr(subdivisions, "SEARCH_BUDGET", 0)
@@ -308,28 +309,31 @@ def test_decide_batch_survives_search_budget_refusal(tmp_path, capsys, monkeypat
     path.write_text(
         to_edge_list_text(Graph.complete(5)) + "\n" + to_edge_list_text(builtin("G4"))
     )
-    code, out, _ = run(capsys, "decide", str(path), "--json")
-    assert code == 3
+    code, out, err = run(capsys, "decide", str(path), "--json")
+    assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload[0] == {"input": f"{path}:0", **decide_toroidal(Graph.complete(5)).to_payload()}
-    assert payload[1]["input"] == f"{path}:1" and "budget" in payload[1]["error"]
-    assert "status" not in payload[1]
+    assert payload[1] == {"input": f"{path}:1", **decide_toroidal(builtin("G4")).to_payload()}
     code, out, err = run(capsys, "decide", str(path))
-    assert code == 3
-    assert out == f"{path}:0: Toroidal Case-i\n"
-    assert f"{path}:1: budget refusal" in err
+    assert code == 0 and err == ""
+    assert out == f"{path}:0: Toroidal Case-i\n{path}:1: NonToroidal FailedMCase\n"
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("verify-obstructions", "--kind", "minor"), ("splits", "--seeds", "G4")],
+    "argv, last_line",
+    [
+        (("verify-obstructions", "--kind", "minor"), "all 4 minor obstructions verified"),
+        (("splits", "--seeds", "G4"), "count: "),
+    ],
+    ids=["verify-obstructions", "splits"],
 )
-def test_search_budget_refusal_exit_three(capsys, monkeypatch, argv):
+def test_obstruction_commands_need_no_search_budget(capsys, monkeypatch, argv, last_line):
     from toroidal import subdivisions
 
     monkeypatch.setattr(subdivisions, "SEARCH_BUDGET", 0)
-    code, _, err = run(capsys, *argv)
-    assert code == 3 and err.startswith("budget refusal: ")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith(last_line)
 
 
 def test_input_error_exit_one(capsys, tmp_path):

@@ -19,12 +19,15 @@ from toroidal import (
     find_k5_subdivision,
     find_minor,
     find_subdivision,
+    from_graph6,
     is_k33_free,
     is_planar,
     is_special,
+    verify_certificate,
 )
 from toroidal import structure
 from toroidal.structure import scan, scan_block
+from toroidal.toroidality import CASE_NO_VALID_M, NON_TOROIDAL
 
 from conftest import all_labeled_graphs, atlas_graphs, random_graph, subdivide_edge
 
@@ -33,7 +36,7 @@ def forbid_exhaustive_search(monkeypatch):
     """Make every package reference to find_subdivision raise."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("exhaustive subdivision search in the class check")
+        raise AssertionError("exhaustive subdivision search")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "toroidal" and hasattr(module, "find_subdivision"):
@@ -104,6 +107,25 @@ def test_class_check_builds_every_k33_witness(monkeypatch):
             w.validate(g)
             found += 1
     assert found > 100
+
+
+# in-class blocks whose one non-planar side component is itself non-planar
+# but holds no TK5 pinned at its corners: a 23-vertex 2-sum of K5s and
+# planar pieces, on which a pinned search passed 10^7 steps, and a
+# 17-vertex one that took it 1-3*10^6 steps
+NO_VALID_M_AFTER_LONG_SEARCHES = [
+    "V^lQil?QAPgGOOOP_?W?F??{GG?OOGOOKG_?AG??P?@_",
+    "PJ}Skm_gL@oO_`_`b??o@E?K",
+]
+
+
+@pytest.mark.parametrize("graph6", NO_VALID_M_AFTER_LONG_SEARCHES)
+def test_case_iii_walks_the_scan_instead_of_searching(monkeypatch, graph6):
+    forbid_exhaustive_search(monkeypatch)
+    g = from_graph6(graph6)
+    v = decide_toroidal(g)
+    assert (v.status, v.case) == (NON_TOROIDAL, CASE_NO_VALID_M)
+    assert verify_certificate(g, v)
 
 
 def test_scan_recurses_into_blocks_only(monkeypatch):

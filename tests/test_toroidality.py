@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -12,6 +13,7 @@ from toroidal import (
     InternalError,
     SearchBudgetExceeded,
     SubdivisionWitness,
+    blocks,
     builtin,
     build_m_subdivision,
     decide_toroidal,
@@ -22,6 +24,7 @@ from toroidal import (
     from_graph6,
     has_minor,
     is_planar,
+    is_special,
     verify_certificate,
 )
 from toroidal.toroidality import (
@@ -36,6 +39,8 @@ from toroidal.toroidality import (
     NON_TOROIDAL,
     NOT_IN_CLASS,
     TOROIDAL,
+    ToroidalityVerdict,
+    _report,
 )
 
 from conftest import atlas_graphs, g3_tail, g3_with_k4s, random_graph, two_k5s_shared_vertex
@@ -208,18 +213,17 @@ def test_no_vertex_cap_on_the_tm_search():
     assert verify_certificate(g, v)
 
 
-def test_tm_search_refuses_past_its_budget(monkeypatch, g4):
+def test_decide_and_replay_need_no_search_budget(monkeypatch, g4):
+    # Case iii reads its pinned TK5 off the scan, so a search budget of 0
+    # refuses no decision and no replay; the search itself still refuses
     from toroidal import subdivisions
 
-    g = g3_tail()
-    v = check(g, NON_TOROIDAL, CASE_NO_VALID_M)
     monkeypatch.setattr(subdivisions, "SEARCH_BUDGET", 0)
+    check(g3_tail(), NON_TOROIDAL, CASE_NO_VALID_M)
+    check(g4, NON_TOROIDAL, CASE_FAILED_M)
     with pytest.raises(SearchBudgetExceeded) as refused:
-        decide_toroidal(g4)
+        find_subdivision(g4, "M")
     assert not isinstance(refused.value, GraphInputError)
-    # replay repeats the pinned TK5 search: a refusal, not a False
-    with pytest.raises(SearchBudgetExceeded):
-        verify_certificate(g, v)
 
 
 # in-class, with a G1 minor; the exhaustive TM search took 38.6 s on it
@@ -242,17 +246,13 @@ ELEVEN = [
 
 def test_no_valid_m_without_a_whole_block_tm_search(monkeypatch):
     import toroidal
-    from toroidal import subdivisions, toroidality
+    from toroidal import subdivisions
 
-    original = subdivisions.find_subdivision
+    def no_search(*args, **kwargs):
+        raise AssertionError("exhaustive subdivision search")
 
-    def no_tm_search(g, h, require_corners=None):
-        if h == "M":
-            raise AssertionError("exhaustive TM search")
-        return original(g, h, require_corners)
-
-    for module in (toroidal, subdivisions, toroidality):
-        monkeypatch.setattr(module, "find_subdivision", no_tm_search)
+    for module in (toroidal, subdivisions):
+        monkeypatch.setattr(module, "find_subdivision", no_search)
     g = Graph(range(21), TWENTY_ONE)
     assert has_minor(g, builtin("G1"))
     check(g, NON_TOROIDAL, CASE_NO_VALID_M)
@@ -267,6 +267,88 @@ def test_no_valid_m_where_some_tm_fails():
     assert tm is not None
     dec = decompose_by_corners(g, tm)
     assert not all(is_planar(sc.augmented) for sc in dec.components)
+
+
+# K5, K5 minus an edge, K4, the prism and W5, as (vertex count, edges)
+K5_EDGES = list(itertools.combinations(range(5), 2))
+TWO_SUM_PIECES = [
+    (5, K5_EDGES),
+    (5, K5_EDGES[1:]),
+    (4, list(itertools.combinations(range(4), 2))),
+    (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+    (6, [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+]
+
+
+def random_two_sum(rng, max_n):
+    """Pieces 2-summed one by one onto random edges, each glued edge kept
+    or deleted at random, until the next piece would pass ``max_n``
+    vertices; the two non-planar pieces are drawn twice as often."""
+    n, edges = rng.choice(TWO_SUM_PIECES)
+    edges = set(edges)
+    while True:
+        pn, pe = rng.choice(TWO_SUM_PIECES[:2] * 2 + TWO_SUM_PIECES)
+        if n + pn - 2 > max_n:
+            return Graph(range(n), edges)
+        (u, v), (p, q) = rng.choice(sorted(edges)), rng.choice(pe)
+        fresh = iter(range(n, n + pn - 2))
+        image = {x: u if x == p else v if x == q else next(fresh) for x in range(pn)}
+        n += pn - 2
+        edges |= {tuple(sorted((image[x], image[y]))) for x, y in pe}
+        if rng.random() < 0.5:
+            edges.discard((u, v))
+
+
+def test_pinned_tk5_walk_agrees_with_the_pinned_search():
+    # build_m_subdivision reads the pinned TK5 off the scan; the exhaustive
+    # pinned search is the oracle, on every component that reaches Case iii
+    gs = [builtin(f"G{i}") for i in range(1, 12)]
+    corpus = gs + [h for g in gs for e in g.edges for h in (g.delete_edge(*e), g.contract_edge(*e))]
+    corpus += [k5_chain(k, keep) for k in (2, 3, 4) for keep in (True, False)]
+    corpus += [Graph(range(21), TWENTY_ONE), Graph(range(11), ELEVEN), g3_with_k4s()]
+    rng = random.Random(18)
+    corpus += [random_two_sum(rng, 14) for _ in range(400)]
+    outcomes = collections.Counter()
+    for g in corpus:
+        v = decide_toroidal(g)
+        if v.case not in (CASE_III, CASE_FAILED_M, CASE_NO_VALID_M):
+            continue
+        block = blocks(g)[v.block_index]
+        dec = decompose_by_corners(block, v.tk5)
+        (f,) = [sc for sc in dec.components if not is_planar(sc.augmented)]
+        a, b = f.corners
+        searched = find_subdivision(f.subgraph, "K5", require_corners={0: a, 1: b})
+        built = build_m_subdivision(block, v.tk5, f)
+        assert (built is None) == (searched is None) == (v.case == CASE_NO_VALID_M)
+        outcomes[built is None] += 1
+    assert outcomes[True] >= 50 and outcomes[False] >= 50
+
+
+def test_replay_rechecks_the_class_of_the_special_component():
+    # K5 minus 01 on 0..4, and K3,3 minus the edge 01 on {0, 5, 6} | {1, 7, 8}:
+    # one block with a K3,3.  A TK5 whose 0-1 path runs 0-7-5-1 leaves a
+    # special component on 0, 1 whose augmentation is K3,3, so a Case-ii
+    # certificate built from it makes every other claim hold
+    k5_minus = [e for e in K5_EDGES if e != (0, 1)]
+    k33_minus = [(x, y) for x in (0, 5, 6) for y in (1, 7, 8) if (x, y) != (0, 1)]
+    g = Graph(range(9), k5_minus + k33_minus)
+    assert decide_toroidal(g).status == NOT_IN_CLASS
+    paths = {e: e for e in K5_EDGES}
+    paths[(0, 1)] = (0, 7, 5, 1)
+    tk5 = SubdivisionWitness("K5", {i: i for i in range(5)}, paths)
+    dec = decompose_by_corners(g, tk5)
+    f = dec.component(0, 1)
+    assert is_special(f) and f.scan.pattern == "K3,3"
+    forged = ToroidalityVerdict(
+        TOROIDAL,
+        CASE_II,
+        block_index=0,
+        nonplanar_blocks=(0,),
+        tk5=tk5,
+        components=tuple(map(_report, dec.components)),
+        special_corners=(0, 1),
+    )
+    assert not verify_certificate(g, forged)
 
 
 def test_build_m_subdivision_on_m_graph(mgraph):
@@ -300,7 +382,7 @@ def test_build_m_subdivision_when_the_tk5_central_path_crosses_f(mgraph):
 
 
 def test_build_m_subdivision_checks_the_tm_it_builds(monkeypatch, mgraph):
-    # a pinned search that answers with a TK5 outside f: the joined TM
+    # a TK5 source that answers with a TK5 outside f: the joined TM
     # repeats corners, which is the package's own fault, not the input's
     from toroidal import toroidality
 
@@ -308,7 +390,7 @@ def test_build_m_subdivision_checks_the_tm_it_builds(monkeypatch, mgraph):
     dec = decompose_by_corners(mgraph, w)
     (f,) = [sc for sc in dec.components if not is_planar(sc.augmented)]
     assert not w.corners <= set(f.subgraph.vertices)
-    monkeypatch.setattr(toroidality, "find_subdivision", lambda *args, **kw: w)
+    monkeypatch.setattr(toroidality, "pinned_tk5", lambda f: w)
     with pytest.raises(InternalError):
         build_m_subdivision(mgraph, w, f)
 

@@ -7,20 +7,23 @@ defines both: g has minimum degree 3 and is not toroidal, every
 single-edge deletion is toroidal, and for the minor order every
 single-edge contraction is too.  One lazy walk decides its clauses in that
 order; ``verify_minor_obstruction`` and ``verify_topological_obstruction``
-report every decision, and ``enumerate_splits``, which regenerates the
-full topological list from the minor-order seeds, stops at the first that
-fails.
+report a status for every edge, and ``enumerate_splits``, which
+regenerates the full topological list from the minor-order seeds, stops at
+the first decision that fails.
 
 Both decide families of near-identical graphs, and each member reuses its
-parent's work.  A graph and its single-edge deletions share one pool of
-TK5s, offered to each contraction mapped through the merge, so a block
-whose TK5 survives needs no new Kuratowski extraction.  The splits of a
-graph are applied one per orbit of its automorphisms, which come from the
-canonical search that labels it, and each split child starts from its
-parent's pool mapped through the split.  A child isomorphic to an earlier
-graph is skipped: each child is keyed by a cheap isomorphism invariant,
-and only children whose invariant an earlier graph shares pay for
-canonical forms.
+parent's work.  Once a graph's status passes, one canonical search gives
+its automorphisms; an automorphism maps one edge's deletion and
+contraction onto another's, so the walk decides one deletion and one
+contraction per edge orbit and copies the status along the orbit.  A graph
+and its single-edge deletions share one pool of TK5s, offered to each
+contraction mapped through the merge, so a block whose TK5 survives needs
+no new Kuratowski extraction.  The splits of an accepted graph are applied
+one per orbit of the same automorphisms, and each split child starts from
+its parent's pool mapped through the split.  A child isomorphic to an
+earlier graph is skipped: each child is keyed by a cheap isomorphism
+invariant, and only children whose invariant an earlier graph shares pay
+for canonical forms.
 
 The catalog is versioned graph6 data, read as stored.  Its M and G4 equal
 the constructions :func:`~toroidal.structure.m_graph` and :func:`make_g4`
@@ -36,8 +39,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import GraphInputError
-from .graphs import Graph, from_graph6, to_graph6
+from .errors import GraphInputError, InternalError
+from .graphs import Graph, _norm_edge, from_graph6, to_graph6
 from .isomorphism import automorphism_generators, canonical_form, refinement_invariant
 from .structure import m_graph
 from .toroidality import NON_TOROIDAL, NOT_IN_CLASS, TOROIDAL, decide_toroidal
@@ -97,26 +100,73 @@ def _min_degree_ok(g: Graph) -> bool:
 _WANTED = {"status": NON_TOROIDAL, "deletions": TOROIDAL, "contractions": TOROIDAL}
 
 
-def _minimality(g: Graph, tk5s: list, contractions: bool = False):
+def _edge_orbits(g: Graph, generators) -> list[tuple[int, int]]:
+    """Per edge of g in ``g.edges`` order, the first edge of its orbit under
+    the group that the vertex maps ``generators`` generate.  Each map must
+    send ``g.edges`` onto ``g.edges``; one that does not is an
+    :class:`InternalError`.  A subgroup of the automorphisms only gives
+    finer orbits, so nothing here rests on the generators being complete."""
+    edges = g.edges
+    index = {e: i for i, e in enumerate(edges)}
+    parent = list(range(len(edges)))  # a union-find; each root is its set's first
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p in generators:
+        try:
+            image = [index[_norm_edge(p[u], p[v])] for u, v in edges]
+        except (KeyError, GraphInputError):
+            image = None
+        if image is None or len(set(image)) != len(edges):
+            raise InternalError(f"{p} does not map the edges of g onto themselves")
+        for i, j in enumerate(image):
+            a, b = root(i), root(j)
+            parent[max(a, b)] = min(a, b)
+    return [edges[root(i)] for i in range(len(edges))]
+
+
+def _minimality(g: Graph, tk5s: list, generators: list, contractions: bool = False):
     """The decisions of the minimality predicate, one at a time, as
     (clause, edge, status): g itself (edge None), each single-edge
     deletion, and with ``contractions`` each single-edge contraction.
+
+    Once g's status passes, ``generators`` gains the automorphisms that
+    g's canonical search records; a g that fails it pays for no search, and
+    each of its edges is an orbit of its own.  An automorphism maps one
+    edge's deletion and contraction onto another's, so only the first edge
+    of each edge orbit (:func:`_edge_orbits`) is decided, and every later
+    edge of the orbit gets its status.
+
     g and its deletions share the pool ``tk5s``, which may start with TK5s
     of a related graph and gains every TK5 found: a TK5 of g survives the
     deletion of any edge off it.  Each contraction gets the pool mapped
     through the merge."""
-    yield "status", None, decide_toroidal(g, tk5s=tk5s).status
-    for e in g.edges:
-        yield "deletions", e, decide_toroidal(g.delete_edge(*e), tk5s=tk5s).status
-    for e in g.edges if contractions else ():
-        h, mapped = g.contract_edge(*e), [w.contracted(*e) for w in tk5s]
-        yield "contractions", e, decide_toroidal(h, tk5s=mapped).status
+    status = decide_toroidal(g, tk5s=tk5s).status
+    yield "status", None, status
+    if status == _WANTED["status"]:
+        generators += automorphism_generators(g)
+    firsts = _edge_orbits(g, generators)
+    deleted: dict[tuple[int, int], str] = {}
+    for e, first in zip(g.edges, firsts):
+        if first == e:
+            deleted[e] = decide_toroidal(g.delete_edge(*e), tk5s=tk5s).status
+        yield "deletions", e, deleted[first]
+    contracted: dict[tuple[int, int], str] = {}
+    for e, first in zip(g.edges, firsts) if contractions else ():
+        if first == e:
+            h, mapped = g.contract_edge(*e), [w.contracted(*e) for w in tk5s]
+            contracted[e] = decide_toroidal(h, tk5s=mapped).status
+        yield "contractions", e, contracted[first]
 
 
 def _report(g: Graph, contractions: bool) -> dict:
     """Every decision of :func:`_minimality`; NotInClass anywhere marks the
     report failed."""
-    decided = list(_minimality(g, [], contractions))
+    decided = list(_minimality(g, [], [], contractions))
     ok = _min_degree_ok(g)
     report = {"min_degree_ok": ok, "status": decided[0][2], "deletions": []}
     report["not_in_class"] = any(s == NOT_IN_CLASS for _, _, s in decided)
@@ -140,13 +190,18 @@ def verify_minor_obstruction(g: Graph) -> dict:
     return _report(g, contractions=True)
 
 
-def is_topological_obstruction(g: Graph, tk5s: list | None = None) -> bool:
+def is_topological_obstruction(
+    g: Graph, tk5s: list | None = None, generators: list | None = None
+) -> bool:
     """The topological predicate, stopping at the first decision that
     fails it, for enumeration; g and its deletions share the pool ``tk5s``
-    of TK5s, as in :func:`_minimality`."""
+    of TK5s, and ``generators`` gains g's automorphisms once g's status
+    passes, as in :func:`_minimality`."""
     return _min_degree_ok(g) and all(
         status == _WANTED[c]
-        for c, _, status in _minimality(g, [] if tk5s is None else tk5s)
+        for c, _, status in _minimality(
+            g, [] if tk5s is None else tk5s, [] if generators is None else generators
+        )
     )
 
 
@@ -265,7 +320,11 @@ def enumerate_splits(seeds, ceiling: int = 16) -> list[Graph]:
     split ancestor of an obstruction is itself an obstruction.
 
     Only the first split of each orbit under the automorphisms that the
-    canonical search of the parent records is applied.  An automorphism
+    canonical search of the parent records is applied; they are the
+    generators that the parent's edge orbits used in
+    :func:`is_topological_obstruction`, so each graph pays for one
+    automorphism search, and a child pays for none unless its status
+    passes.  An automorphism
     maps one split's child onto the other's, so a later member of an orbit
     is isomorphic to the first, which is by then accepted or rejected; the
     first split of each isomorphism class is still applied first, so the
@@ -283,26 +342,28 @@ def enumerate_splits(seeds, ceiling: int = 16) -> list[Graph]:
     """
     accepted: list[Graph] = []
     seen = _IsomorphismClasses()
-    frontier: list[tuple[Graph, list]] = []
+    frontier: list[tuple[Graph, list, list]] = []
     for seed in seeds:
         if not seen.add(seed):
             continue
         tk5s: list = []
-        if is_topological_obstruction(seed, tk5s):
+        generators: list = []
+        if is_topological_obstruction(seed, tk5s, generators):
             accepted.append(seed.normalized())
-            frontier.append((seed, tk5s))
+            frontier.append((seed, tk5s, generators))
     while frontier:
-        g, pool = frontier.pop(0)
+        g, pool, automorphisms = frontier.pop(0)
         if g.n + 1 > ceiling:  # every split adds one vertex
             continue
         new = max(g.vertices) + 1  # the label apply_split gives the new end
-        for orbit in _split_orbits(g, automorphism_generators(g)):
+        for orbit in _split_orbits(g, automorphisms):
             op = orbit[0]
             child = apply_split(g, op)
             if not seen.add(child):
                 continue
             tk5s = [w.split(op.vertex, op.part_moved, new) for w in pool]
-            if is_topological_obstruction(child, tk5s):
+            generators = []
+            if is_topological_obstruction(child, tk5s, generators):
                 accepted.append(child.normalized())
-                frontier.append((child, tk5s))
+                frontier.append((child, tk5s, generators))
     return sorted(accepted, key=lambda h: (h.n, h.m, to_graph6(h)))

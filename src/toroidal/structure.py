@@ -227,7 +227,10 @@ def scan_block(
     such as the single-edge minors of one graph.  The first that validates
     on the block proves it non-planar and stands in for the planarity test
     and the extraction; any TK5 serves the decomposition.  A TK5 extracted
-    here is appended to the pool."""
+    here is appended to the pool.  A block of fewer than 9 edges is
+    planar (a TK3,3 has 9 edges and a TK5 10), so it consults no pool."""
+    if block.m < 9:
+        return None
     w = next((t for t in tk5s or () if t.holds_in(block)), None)
     if w is None:
         if is_planar(block):

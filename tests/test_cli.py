@@ -12,6 +12,7 @@ from toroidal.cli import main
 from conftest import SPLITS_G1_TO_G4, g3_with_k4s
 
 SPLITS_JSON = Path(__file__).resolve().parent / "data" / "splits_g1_g4.json"
+REPORTS_JSON = Path(__file__).resolve().parent / "data" / "obstruction_reports.json"
 
 
 def run(capsys, *argv):
@@ -93,6 +94,15 @@ def test_verify_obstructions_json(capsys):
     payload = json.loads(out)
     assert payload["failures"] == []
     assert set(payload["reports"]) == {"G1", "G2", "G3", "G4"}
+
+
+@pytest.mark.parametrize("kind", ["minor", "topological"])
+def test_verify_obstructions_json_is_pinned(capsys, kind):
+    # the stored reports are the output of the walk that decided every edge
+    code, out, _ = run(capsys, "verify-obstructions", "--kind", kind, "--json")
+    assert code == 0
+    pinned = json.loads(REPORTS_JSON.read_text())[kind]
+    assert out == json.dumps(pinned, indent=2, sort_keys=True) + "\n"
 
 
 def test_splits_with_k5_seed_is_empty(capsys):

@@ -6,6 +6,7 @@ import pytest
 from toroidal import (
     Graph,
     GraphInputError,
+    InternalError,
     SplitOperation,
     SubdivisionWitness,
     all_splits,
@@ -25,7 +26,7 @@ from toroidal import (
     verify_minor_obstruction,
     verify_topological_obstruction,
 )
-from toroidal import isomorphism, structure
+from toroidal import isomorphism, obstructions, structure
 from toroidal.obstructions import (
     MINOR_OBSTRUCTION_NAMES,
     MINOR_ORDER,
@@ -360,8 +361,10 @@ def test_split_children_reuse_their_parent_pool(monkeypatch):
 
 
 def test_split_regeneration_pays_for_few_canonical_searches(monkeypatch):
-    # 109 searches when every child got a canonical form: 98 forms, and the
-    # automorphisms of the 11 accepted graphs
+    # 109 searches when every child got a canonical form.  Now 17 forms and
+    # one search for the automorphisms of each graph whose status passes:
+    # the 11 accepted graphs and 4 children that then fail a deletion.  The
+    # split orbits reuse the automorphisms that the edge orbits used
     calls = []
     search = isomorphism._canon_search
 
@@ -372,7 +375,7 @@ def test_split_regeneration_pays_for_few_canonical_searches(monkeypatch):
     monkeypatch.setattr(isomorphism, "_canon_search", counting)
     found = enumerate_splits([builtin(name) for name in MINOR_OBSTRUCTION_NAMES], ceiling=16)
     assert [to_graph6(g) for g in found] == SPLITS_G1_TO_G4
-    assert len(calls) <= 40
+    assert len(calls) <= 32
 
 
 def test_isomorphism_classes_split_an_invariant_by_canonical_form():
@@ -384,3 +387,71 @@ def test_isomorphism_classes_split_an_invariant_by_canonical_form():
     assert classes.add(cycle) and classes.add(triangles)
     assert not classes.add(cycle.relabeled({0: 10})) and not classes.add(triangles)
     assert classes.add(Graph.path(6))
+
+
+# -- one decision per edge orbit ---------------------------------------------
+
+
+def test_edge_orbit_reports_equal_reports_that_decide_every_edge(monkeypatch):
+    graphs = [builtin(name) for name in TOPOLOGICAL_OBSTRUCTION_NAMES]
+    reports = [verify_minor_obstruction(g) for g in graphs]
+    # no generators: every edge is an orbit of its own and is decided
+    monkeypatch.setattr(obstructions, "automorphism_generators", lambda g: [])
+    assert reports == [verify_minor_obstruction(g) for g in graphs]
+
+
+def test_reports_decide_one_deletion_and_one_contraction_per_edge_orbit(monkeypatch):
+    calls = []
+    decide = obstructions.decide_toroidal
+
+    def counting(g, **kwargs):
+        calls.append(g)
+        return decide(g, **kwargs)
+
+    monkeypatch.setattr(obstructions, "decide_toroidal", counting)
+    verify_minor_obstruction(builtin("G1"))
+    # G1 itself, and its 20 edges form one orbit: 41 decisions per edge
+    assert len(calls) == 3
+    calls.clear()
+    for name in TOPOLOGICAL_OBSTRUCTION_NAMES:
+        verify_minor_obstruction(builtin(name))
+    # 11 graphs and their 238 edges in 51 orbits; 487 decisions per edge
+    assert len(calls) == 11 + 51 + 51
+
+
+def test_a_report_whose_status_fails_pays_for_no_canonical_search(monkeypatch):
+    # K7 is not in the class: every edge is decided on its own, with no
+    # automorphism search
+    def refuse(g):
+        raise AssertionError("canonical search")
+
+    monkeypatch.setattr(isomorphism, "_canon_search", refuse)
+    report = verify_minor_obstruction(Graph.complete(7))
+    assert report["status"] == "NotInClass" and not report["passes"]
+    assert [d["edge"] for d in report["deletions"]] == [list(e) for e in Graph.complete(7).edges]
+    assert len(report["contractions"]) == 21
+
+
+def test_edge_orbits_refuse_a_map_that_is_not_an_automorphism(monkeypatch):
+    g = builtin("G3")
+    u, v = next(
+        (u, v) for u, v in itertools.combinations(g.vertices, 2)
+        if set(g.neighbors(u)) - {v} != set(g.neighbors(v)) - {u}
+    )
+    swap = {w: w for w in g.vertices} | {u: v, v: u}
+    assert any(tuple(sorted((swap[a], swap[b]))) not in g.edges for a, b in g.edges)
+    monkeypatch.setattr(obstructions, "automorphism_generators", lambda h: [swap])
+    with pytest.raises(InternalError):
+        verify_minor_obstruction(g)
+
+
+def test_edge_orbits_refuse_a_map_that_folds_edges_together(monkeypatch):
+    # each K5 of G1 onto the first one: every edge goes to an edge, but two
+    # edges go to each
+    g = builtin("G1")
+    first, second = (sorted(c) for c in g.connected_components())
+    fold = {w: w for w in first} | dict(zip(second, first))
+    assert all(tuple(sorted((fold[a], fold[b]))) in g.edges for a, b in g.edges)
+    monkeypatch.setattr(obstructions, "automorphism_generators", lambda h: [fold])
+    with pytest.raises(InternalError):
+        verify_topological_obstruction(g)

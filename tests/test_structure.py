@@ -9,6 +9,7 @@ from toroidal import (
     BridgeOf,
     Graph,
     SideComponent,
+    SubdivisionWitness,
     all_splits,
     apply_split,
     blocks,
@@ -89,6 +90,28 @@ def test_bridge_with_three_corners_raises_k33(k5, shape, monkeypatch):
     assert witness.pattern == "K3,3"
     witness.validate(g)
     find_k33_subdivision(g).validate(g)
+
+
+class _UntouchableTK5(SubdivisionWitness):
+    def validate(self, g):
+        raise AssertionError("the TK5 pool was consulted")
+
+
+def test_blocks_below_nine_edges_consult_no_pool():
+    # a TK3,3 has 9 edges and a TK5 10, so a smaller block is planar
+    # before any pooled TK5 is tried on it
+    pool = [_UntouchableTK5("K5", {}, {})]
+    k33_minus_edge = Graph.complete_bipartite(3, 3).delete_edge(0, 3)
+    for block in (Graph.complete(2), Graph.cycle(3), Graph.complete(4), Graph.cycle(8),
+                  k33_minus_edge):
+        assert block.m < 9
+        assert scan_block(block, pool) is None
+    triangles = Graph(range(7), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4),
+                                 (4, 5), (5, 6), (4, 6)])
+    assert decide_toroidal(triangles, tk5s=pool).status == "Toroidal"
+    assert len(pool) == 1
+    with pytest.raises(AssertionError, match="pool was consulted"):
+        scan_block(Graph.complete_bipartite(3, 3), pool)
 
 
 def test_class_check_builds_every_k33_witness(monkeypatch):

@@ -36,10 +36,10 @@ class Graph:
         self._vertices = tuple(sorted(vs))
         self._edges = tuple(sorted(es))
         adj: dict[int, list[int]] = {v: [] for v in self._vertices}
-        for u, v in self._edges:
+        for u, v in self._edges:  # sorted, so each list comes out sorted
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._adj = {v: tuple(ns) for v, ns in adj.items()}
         self._hash = hash((self._vertices, self._edges))
 
     # -- basic accessors -------------------------------------------------

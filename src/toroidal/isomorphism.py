@@ -1,14 +1,17 @@
 """Graph isomorphism and canonical labeling for desk-scale graphs.
 
-``canonical_form`` does individualization-refinement with orbit pruning
-from discovered automorphisms (a miniature nauty; McKay & Piperno,
-"Practical graph isomorphism, II", 2014), and ``automorphism_generators``
-hands those automorphisms out, so that a caller can work on one member of
-each orbit.  ``refinement_invariant`` reads a cheap isomorphism invariant
-off the equitable partition at the search's root, so that a caller can
-skip the search for a graph that no other graph shares the invariant
-with.  Canonical searches are exact and intended for graphs up to roughly
-16 vertices.
+``canonical_form`` does individualization-refinement (a miniature nauty;
+McKay & Piperno, "Practical graph isomorphism, II", 2014) with nauty's two
+prunings by discovered automorphisms (McKay, "Practical graph isomorphism",
+1981): a node skips the children in the orbits of those it explored, and a
+leaf that ties with the best one sends the search back to where their
+paths part.  ``automorphism_generators`` hands those automorphisms out, so
+that a caller can work on one member of each orbit; they generate the
+whole automorphism group.  ``refinement_invariant`` reads a cheap
+isomorphism invariant off the equitable partition at the search's root, so
+that a caller can skip the search for a graph that no other graph shares
+the invariant with.  Canonical searches are exact and intended for graphs
+up to roughly 16 vertices.
 
 ``is_isomorphic`` is an independent backtracking matcher, so the two can
 cross-check each other.  It keeps its choices on an explicit stack rather
@@ -98,15 +101,32 @@ def refinement_invariant(g: Graph) -> tuple:
     )
 
 
+def _close(mask: int, generators: list[tuple[int, ...]]) -> int:
+    """The least superset of the vertex set ``mask`` that every one of
+    ``generators`` maps into itself: the union of the orbits it meets."""
+    todo = _members(mask)
+    while todo:
+        v = todo.pop()
+        for p in generators:
+            if not mask >> p[v] & 1:
+                mask |= 1 << p[v]
+                todo.append(p[v])
+    return mask
+
+
 class _CanonSearch:
     def __init__(self, adj: list[int], n: int):
         self.adj = adj
         self.n = n
         self.best_key: tuple | None = None
         self.best_order: list[int] | None = None
+        self.best_path: list[int] = []
         self.generators: list[tuple[int, ...]] = []
 
-    def _leaf(self, order: list[int]):
+    def _leaf(self, order: list[int], path: list[int]) -> int | None:
+        """Compare the leaf ``order``, reached by individualizing ``path``,
+        with the best leaf.  On a tie, record the automorphism between the
+        two and return the depth at which their paths part."""
         pos = [0] * self.n
         for i, v in enumerate(order):
             pos[v] = i
@@ -118,61 +138,48 @@ class _CanonSearch:
             rows.append(mask)
         key = tuple(rows)
         if self.best_key is None or key < self.best_key:
-            self.best_key = key
-            self.best_order = order[:]
+            self.best_key, self.best_order, self.best_path = key, order, path
         elif key == self.best_key:
             # order and best_order induce the same canonical graph: the map
-            # best_order[i] -> order[i] is an automorphism
+            # best_order[i] -> order[i] is an automorphism, and it maps
+            # best_path onto path, as each individualized vertex keeps its
+            # cell's position in the leaf order
             perm = [0] * self.n
-            for i in range(self.n):
-                perm[self.best_order[i]] = order[i]
-            tperm = tuple(perm)
-            if tperm not in self.generators and any(
-                perm[v] != v for v in range(self.n)
-            ):
-                self.generators.append(tperm)
+            for u, v in zip(self.best_order, order):
+                perm[u] = v
+            self.generators.append(tuple(perm))
+            return next(i for i, (u, v) in enumerate(zip(path, self.best_path)) if u != v)
+        return None
 
-    def _orbit_reps(self, cell: list[int], fixed: list[int]) -> list[int]:
-        gens = [
-            p for p in self.generators if all(p[v] == v for v in fixed)
-        ]
-        if not gens:
-            return cell
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in gens:
-            for v in range(self.n):
-                a, b = find(v), find(p[v])
-                if a != b:
-                    parent[a] = b
-        seen = set()
-        reps = []
-        for v in cell:
-            r = find(v)
-            if r not in seen:
-                seen.add(r)
-                reps.append(v)
-        return reps
-
-    def search(self, cells: list[int], fixed: list[int]):
+    def search(self, cells: list[int], fixed: list[int]) -> int | None:
         """Branch on the first non-singleton cell of the equitable partition
-        ``cells``: individualize one vertex per orbit and refine against
-        it."""
+        ``cells``, reached by individualizing ``fixed``: individualize each
+        vertex of it in turn and refine against it.
+
+        A vertex is skipped when an explored sibling lies in its orbit under
+        the generators found so far that fix ``fixed``; the orbits are read
+        again as generators arrive.  A leaf that ties with the best one
+        sends the search back to the node where the two paths part: the
+        automorphism between them fixes that node and maps the best leaf's
+        branch onto this one, so the rest of this branch holds nothing new.
+        Returns that node's depth while unwinding towards it, else None."""
         target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if target is None:
-            self._leaf([c.bit_length() - 1 for c in cells])
-            return
+            return self._leaf([c.bit_length() - 1 for c in cells], fixed)
         cell = cells[target]
-        for v in self._orbit_reps(_members(cell), fixed):
+        explored = 0  # the explored children's orbits, as a mask
+        for v in _members(cell):
+            stabilizer = [p for p in self.generators if all(p[u] == u for u in fixed)]
+            explored = _close(explored, stabilizer)
             bit = 1 << v
+            if explored & bit:
+                continue
+            explored |= bit
             nxt = cells[:target] + [bit, cell ^ bit] + cells[target + 1 :]
-            self.search(_refine(self.adj, nxt, [bit]), fixed + [v])
+            back = self.search(_refine(self.adj, nxt, [bit]), fixed + [v])
+            if back is not None and back < len(fixed):
+                return back
+        return None
 
 
 def _canon_search(g: Graph) -> _CanonSearch:
@@ -193,9 +200,13 @@ def canonical_labeling(g: Graph) -> dict[int, int]:
 def automorphism_generators(g: Graph) -> list[dict[int, int]]:
     """The automorphisms the canonical search of g records, as vertex maps.
 
-    Each one maps a leaf ordering onto another with the same leaf key, that
-    is the same relabeled adjacency matrix, so it preserves adjacency.  They
-    are the generators the search prunes by; no identity is among them."""
+    Each one maps the best leaf ordering onto another with the same leaf
+    key, that is the same relabeled adjacency matrix, so it preserves
+    adjacency.  They are the generators the search prunes by, and they
+    generate the whole automorphism group.  Each one, at the node where its
+    two leaves part, maps the best leaf's child onto a child outside that
+    child's orbit so far, so no identity and no repeat is among them; there
+    were at most n - 1 on every graph tried."""
     verts = g.vertices
     return [
         {verts[i]: verts[p] for i, p in enumerate(perm)}

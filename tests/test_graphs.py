@@ -200,5 +200,20 @@ def test_parallel_edges_collapse():
     assert g.m == 1
 
 
+def test_neighbors_are_sorted_whatever_the_edge_order():
+    # the left-right planarity test's DFS reads neighbours in this order
+    rng = random.Random(21)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        labels = rng.sample(range(-20, 40), n)
+        edges = [(labels[u], labels[v]) for u, v in random_graph(rng, n, rng.random()).edges]
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+        rng.shuffle(edges)
+        g = Graph(labels, edges)
+        for v in g.vertices:
+            nbrs = {b for a, b in edges if a == v} | {a for a, b in edges if b == v}
+            assert g.neighbors(v) == tuple(sorted(nbrs))
+
+
 def test_labeled_graph_count_small():
     assert sum(1 for _ in all_labeled_graphs(3)) == 8

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 from toroidal import (
     Graph,
@@ -9,10 +11,23 @@ from toroidal import (
     canonical_labeling,
     find_isomorphism,
     is_isomorphic,
+    isomorphism,
 )
-from toroidal.isomorphism import _adjacency, _members, _refine, _root_cells, refinement_invariant
+from toroidal.isomorphism import (
+    _adjacency,
+    _canon_search,
+    _members,
+    _refine,
+    _root_cells,
+    refinement_invariant,
+)
 
-from conftest import PETERSEN, all_labeled_graphs, random_graph
+from conftest import PETERSEN, all_labeled_graphs, atlas_graphs, random_graph
+
+# canonical_form of every atlas graph, in atlas order, and of G1..G11, as a
+# search without backjumps or sibling pruning gave them: pruning may change
+# how the search walks its tree, never which form it returns
+FORMS_JSON = Path(__file__).resolve().parent / "data" / "canonical_forms.json"
 
 
 def brute_force_classes(n: int) -> int:
@@ -174,3 +189,62 @@ def test_equal_canonical_forms_have_equal_invariants():
         graphs += 1
         assert invariants.setdefault(canonical_form(g), refinement_invariant(g)) == refinement_invariant(g)
     assert graphs == 1024 and len(invariants) == 34
+
+
+# -- the canonical search's pruning --------------------------------------------
+
+
+def _group_order(generators: list[tuple[int, ...]], n: int) -> int:
+    """The order of the permutation group ``generators`` generate, by a
+    breadth-first closure from the identity."""
+    identity = tuple(range(n))
+    group = {identity}
+    todo = [identity]
+    while todo:
+        p = todo.pop()
+        for q in generators:
+            r = tuple(q[v] for v in p)
+            if r not in group:
+                group.add(r)
+                todo.append(r)
+    return len(group)
+
+
+def test_search_generators_generate_the_whole_automorphism_group():
+    graphs = atlas_graphs() + [builtin(f"G{i}") for i in range(1, 12)] + [PETERSEN]
+    assert len(graphs) == 1264
+    for g in graphs:
+        generators = _canon_search(g).generators
+        assert len(generators) <= g.n - 1
+        assert _group_order(generators, g.n) == len(automorphisms(g))
+
+
+def test_canonical_forms_are_pinned():
+    pinned = json.loads(FORMS_JSON.read_text())
+    atlas = atlas_graphs(min_n=0)
+    assert len(atlas) == len(pinned["atlas"]) == 1253
+    assert [canonical_form(g) for g in atlas] == pinned["atlas"]
+    assert {name: canonical_form(builtin(name)) for name in pinned["catalog"]} == pinned["catalog"]
+    assert list(pinned["catalog"]) == [f"G{i}" for i in range(1, 12)]
+
+
+def test_symmetric_graphs_search_few_leaves(monkeypatch):
+    # a search that never jumps back reached 4,084 leaves of K12 and
+    # recorded 4,083 generators
+    leaves = 0
+    leaf = isomorphism._CanonSearch._leaf
+
+    def counting(self, order, path):
+        nonlocal leaves
+        leaves += 1
+        return leaf(self, order, path)
+
+    monkeypatch.setattr(isomorphism._CanonSearch, "_leaf", counting)
+    for g in (Graph.complete(10), Graph(range(10)), Graph.complete(12), Graph.complete_bipartite(6, 6)):
+        leaves = 0
+        assert len(_canon_search(g).generators) <= g.n - 1
+        assert leaves <= g.n**2
+    k12 = Graph.complete(12)
+    perm = list(range(100, 112))
+    random.Random(22).shuffle(perm)
+    assert canonical_form(k12) == canonical_form(k12.relabeled(dict(zip(k12.vertices, perm))))

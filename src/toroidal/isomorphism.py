@@ -10,8 +10,9 @@ that a caller can work on one member of each orbit; they generate the
 whole automorphism group.  ``refinement_invariant`` reads a cheap
 isomorphism invariant off the equitable partition at the search's root, so
 that a caller can skip the search for a graph that no other graph shares
-the invariant with.  Canonical searches are exact and intended for graphs
-up to roughly 16 vertices.
+the invariant with.  The form and the generators of one graph share one
+search.  Canonical searches are exact and intended for graphs up to
+roughly 16 vertices.
 
 ``is_isomorphic`` is an independent backtracking matcher, so the two can
 cross-check each other.  It keeps its choices on an explicit stack rather
@@ -22,6 +23,7 @@ recursion limit.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 
 from .graphs import Graph, to_graph6
 
@@ -190,9 +192,16 @@ def _canon_search(g: Graph) -> _CanonSearch:
     return search
 
 
+@lru_cache(maxsize=64)
+def _searched(g: Graph) -> _CanonSearch:
+    """g's canonical search, which its form and its automorphisms share:
+    it runs once while g is among the last 64 graphs searched."""
+    return _canon_search(g)
+
+
 def canonical_labeling(g: Graph) -> dict[int, int]:
     """Map each vertex to its position in the canonical ordering."""
-    order = _canon_search(g).best_order or []
+    order = _searched(g).best_order or []
     # order[i] = internal index placed at canonical position i
     return {g.vertices[order[i]]: i for i in range(len(order))}
 
@@ -210,7 +219,7 @@ def automorphism_generators(g: Graph) -> list[dict[int, int]]:
     verts = g.vertices
     return [
         {verts[i]: verts[p] for i, p in enumerate(perm)}
-        for perm in _canon_search(g).generators
+        for perm in _searched(g).generators
     ]
 
 

@@ -3,7 +3,20 @@
 The yes/no test is the package's own left-right (LR) planarity test, after
 Brandes, "The Left-Right Planarity Test" (2009), which turns the
 characterization of de Fraysseix and Rosenstiehl into an algorithm; the
-independent genus oracle cross-checks it in the test suite.
+independent genus oracle cross-checks it in the test suite.  Every planarity
+question that the edge and degree counts leave open, from :func:`is_planar`
+and from each deletion step of an extraction, goes through one kernel,
+:func:`_planar`, which runs four exact steps before it runs an LR test:
+
+- it deletes each vertex of degree <= 1: no drawing is blocked by it;
+- it smooths each vertex of degree 2 into an edge between its neighbours,
+  which is a subdivision away, or deletes it when they are already
+  adjacent, since its path can then be drawn beside that edge;
+- it answers planar below 5 vertices (every such simple graph is planar),
+  and non-planar above 3n - 6 edges (Euler's bound for simple planar
+  graphs on n >= 3 vertices);
+- it looks the reduced graph up in a cache keyed by its sorted edges, so
+  graphs that reduce alike share one LR test.
 
 A Kuratowski witness is extracted by edge deletion on one mutable copy of
 the non-planar input, which stays non-planar throughout.  Edges are tried
@@ -36,7 +49,7 @@ from .errors import ClassViolationError, GraphInputError
 from .graphs import Graph
 from .subdivisions import K5_PATTERN, K33_PATTERN, SubdivisionWitness, pattern_graph
 
-_planar_cache: dict[Graph, bool] = {}
+_planar_cache: dict[tuple[tuple[int, int], ...], bool] = {}
 
 
 def _lr_planar(adj: Mapping[int, Iterable[int]]) -> bool:
@@ -219,17 +232,41 @@ def _lr_planar(adj: Mapping[int, Iterable[int]]) -> bool:
     return True
 
 
-def is_planar(g: Graph) -> bool:
-    if g.m < 9:
-        return True
-    if g.n >= 3 and g.m > 3 * g.n - 6:
-        return False
-    cached = _planar_cache.get(g)
+def _planar(adj: Mapping[int, Iterable[int]]) -> bool:
+    """Whether the simple graph with adjacency ``adj`` is planar: the four
+    steps of the module docstring, then the LR test.  The reduction works
+    on a copy, with an explicit stack, so no chain is too long for it."""
+    h = {v: set(ns) for v, ns in adj.items()}
+    stack = list(h)
+    while stack:
+        v = stack.pop()
+        ns = h.get(v)
+        if ns is None or len(ns) > 2:
+            continue
+        del h[v]
+        for x in ns:
+            h[x].discard(v)
+        if len(ns) == 2:
+            x, y = ns
+            if y not in h[x]:  # smoothed: x and y keep their degrees
+                h[x].add(y)
+                h[y].add(x)
+                continue
+        stack.extend(ns)
+    n, m = len(h), sum(map(len, h.values())) // 2
+    if n < 5 or m > 3 * n - 6:
+        return n < 5
+    key = tuple(sorted((u, v) for u, ns in h.items() for v in ns if u < v))
+    cached = _planar_cache.get(key)
     if cached is None:
-        cached = _lr_planar({v: g.neighbors(v) for v in g.vertices})
+        cached = _lr_planar(h)
         if len(_planar_cache) < 200000:
-            _planar_cache[g] = cached
+            _planar_cache[key] = cached
     return cached
+
+
+def is_planar(g: Graph) -> bool:
+    return g.m < 9 or _planar({v: g.neighbors(v) for v in g.vertices})
 
 
 def _prune(h: dict[int, set[int]], candidates) -> list[tuple[int, int]]:
@@ -289,7 +326,7 @@ def _kuratowski_subgraph(g: Graph) -> dict[int, set[int]]:
         h[v].remove(u)
         removed = [(u, v), *_prune(h, (u, v))]
         smaller = _degree_counts(h)
-        if _rules_out_kuratowski(smaller) or _lr_planar(h):
+        if _rules_out_kuratowski(smaller) or _planar(h):
             for x, y in removed:
                 h.setdefault(x, set()).add(y)
                 h.setdefault(y, set()).add(x)

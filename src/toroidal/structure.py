@@ -41,19 +41,37 @@ def m_graph() -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class SideComponent:
-    """Union of all bridges spanning one fixed pair of corners."""
+    """Union of all bridges spanning one fixed pair of corners: the sorted
+    corner pair (a, b), the vertex set and the set of sorted edge pairs.
+    ``subgraph`` and ``augmented`` (plus the edge ab) are built on first
+    use, and a ``small`` component, as most are, builds neither: its scan,
+    its report and :func:`is_special` follow from its counts."""
 
     corners: tuple[int, int]
-    subgraph: Graph
-    augmented: Graph
+    vertices: frozenset[int]
+    edges: frozenset[tuple[int, int]]
 
     @property
     def corner_edge_present(self) -> bool:
-        return self.subgraph.has_edge(*self.corners)
+        return self.corners in self.edges
+
+    @property
+    def small(self) -> bool:
+        """Fewer than 9 edges with ab, so planar even augmented: a TK3,3
+        has 9 edges and a TK5 10."""
+        return len(self.edges) + (not self.corner_edge_present) < 9
+
+    @cached_property
+    def subgraph(self) -> Graph:
+        return Graph(self.vertices, self.edges)
+
+    @cached_property
+    def augmented(self) -> Graph:
+        return Graph(self.vertices, self.edges | {self.corners})
 
     @cached_property
     def scan(self) -> SubdivisionWitness | SideDecomposition | None:
-        return scan_block(self.augmented)
+        return None if self.small else scan_block(self.augmented)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,13 +210,9 @@ def decompose_by_corners(
         if brs is None:
             # a valid witness's own branch path is a bridge of this pair
             raise InternalError(f"no bridge for pattern edge {pe}")
-        vs: set[int] = {a, b}
-        es: set[tuple[int, int]] = set()
-        for br in brs:
-            vs |= br.internal | br.attachments
-            es |= br.edges
-        sub = Graph(vs, es)
-        components.append(SideComponent((a, b), sub, sub.add_edge(a, b)))
+        vs = frozenset({a, b}.union(*(br.internal for br in brs)))
+        es = frozenset().union(*(br.edges for br in brs))
+        components.append(SideComponent((a, b), vs, es))
     if groups:
         raise InternalError(f"bridges on corner pairs {sorted(groups)} outside the pattern")
     return SideDecomposition(w, tuple(components))
@@ -208,6 +222,7 @@ def is_special(sc: SideComponent) -> bool:
     """Planar component, absent corner edge, non-planar augmentation."""
     return (
         not sc.corner_edge_present
+        and not sc.small
         and is_planar(sc.subgraph)
         and not is_planar(sc.augmented)
     )
@@ -285,7 +300,7 @@ def pinned_tk5(f: SideComponent) -> SubdivisionWitness | None:
     a, b = f.corners
     h, found, walked = f.augmented, f.scan, []
     while found is not None and not {a, b} <= found.witness.corners:
-        sc = next(sc for sc in found.components if sc.subgraph.has_edge(a, b))
+        sc = next(sc for sc in found.components if (a, b) in sc.edges)
         walked.append((h, found.witness, sc.corners))
         h, found = sc.augmented, sc.scan
     if found is None:

@@ -114,11 +114,11 @@ def _plain(x):
 
 
 def _report(sc: SideComponent) -> ComponentReport:
-    augmented_planar = is_planar(sc.augmented)
+    augmented_planar = sc.small or is_planar(sc.augmented)
     return ComponentReport(
         corners=sc.corners,
-        vertices=sc.subgraph.n,
-        edges=sc.subgraph.m,
+        vertices=len(sc.vertices),
+        edges=len(sc.edges),
         corner_edge_present=sc.corner_edge_present,
         # a subgraph of a planar graph is planar
         planar=augmented_planar or is_planar(sc.subgraph),
@@ -302,6 +302,13 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     if v.case == CASE_I:
         _require(not bad, "every augmented component planar")
         return
+    if v.case in (CASE_TWO_NONPLANAR_AUGMENTED, CASE_II, CASE_NO_VALID_M):
+        # these cases hold only in the class, and a TK3,3 in a non-planar
+        # augmented component would put the block outside it
+        _require(
+            not any(isinstance(sc.scan, SubdivisionWitness) for sc, _ in bad),
+            "no TK3,3 in a non-planar augmented component",
+        )
     if v.case == CASE_TWO_NONPLANAR_AUGMENTED:
         _require(
             v.bad_components == tuple(r.corners for _, r in bad) and len(bad) >= 2,
@@ -310,8 +317,6 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
         return
     _require(len(bad) == 1, "exactly one non-planar augmented component")
     f, r = bad[0]
-    if v.case in (CASE_II, CASE_NO_VALID_M):  # the theorem holds only in the class
-        _require(not isinstance(f.scan, SubdivisionWitness), "no TK3,3 in the component")
     if v.case == CASE_II:
         _require(v.special_corners == f.corners, "special corners")
         _require(is_special(f), "the component is special")

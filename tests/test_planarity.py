@@ -97,10 +97,9 @@ def test_lr_test_agrees_with_networkx_on_the_atlas():
     assert all(_lr_agrees(G) for G in graphs)
 
 
-def test_lr_test_agrees_with_networkx_on_random_graphs():
+def _random_nx_graphs():
     # sparse enough that many have isolated vertices and several components
     rng = random.Random(16)
-    planar = isolated = split = 0
     for _ in range(500):
         n = rng.randint(1, 40)
         p = rng.uniform(0, min(1.0, 8 / n))
@@ -109,7 +108,13 @@ def test_lr_test_agrees_with_networkx_on_random_graphs():
         G = nx.Graph()
         G.add_nodes_from(rng.sample(range(n), n))
         G.add_edges_from(edges)
-        assert _lr_agrees(G), (n, edges)
+        yield G
+
+
+def test_lr_test_agrees_with_networkx_on_random_graphs():
+    planar = isolated = split = 0
+    for G in _random_nx_graphs():
+        assert _lr_agrees(G), list(G.edges)
         planar += nx.check_planarity(G)[0]
         isolated += any(d == 0 for _, d in G.degree())
         split += nx.number_connected_components(G) > 1
@@ -123,6 +128,82 @@ def test_lr_test_on_a_grid_deeper_than_the_recursion_limit():
     # the two diagonals of the outer face cross
     G.add_edges_from([(0, 3599), (59, 3540)])
     assert not _lr_planar(G)
+
+
+# -- the planarity kernel: reduce, bound, look up, then the LR test ----------
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    monkeypatch.setattr(planarity, "_planar_cache", {})
+
+
+def _kernel_agrees(G: nx.Graph) -> bool:
+    adj = {v: list(G[v]) for v in G}
+    return planarity._planar(adj) == planarity._lr_planar(adj) == nx.check_planarity(G)[0]
+
+
+def _subdivided(G: nx.Graph, k: int) -> nx.Graph:
+    """G with k new vertices on each edge."""
+    H = nx.Graph()
+    fresh = itertools.count(max(G) + 1)
+    for u, v in G.edges:
+        nx.add_path(H, [u, *itertools.islice(fresh, k), v])
+    return H
+
+
+def test_planar_kernel_agrees_on_the_atlas(empty_cache):
+    from networkx.generators.atlas import graph_atlas_g
+
+    assert all(_kernel_agrees(G) for G in graph_atlas_g())
+
+
+def test_planar_kernel_agrees_on_random_graphs(empty_cache):
+    for G in _random_nx_graphs():
+        assert _kernel_agrees(G), list(G.edges)
+
+
+@pytest.mark.parametrize(
+    "G",
+    # long chains of degree-2 vertices: smoothing must join each vertex's
+    # neighbours, and delete a vertex only where they are already adjacent;
+    # a triangulation has exactly 3n - 6 edges and is planar
+    [
+        nx.cycle_graph(5000),
+        _subdivided(nx.complete_graph(5), 50),
+        _subdivided(nx.complete_bipartite_graph(3, 3), 50),
+        nx.octahedral_graph(),
+        nx.icosahedral_graph(),
+    ],
+    ids=["5000-cycle", "K5 subdivided", "K3,3 subdivided", "octahedron", "icosahedron"],
+)
+def test_planar_kernel_reductions_and_bound_are_exact(G, empty_cache):
+    assert _kernel_agrees(G)
+
+
+def test_planar_kernel_on_a_grid_deeper_than_the_recursion_limit(empty_cache):
+    G = nx.convert_node_labels_to_integers(nx.grid_2d_graph(60, 60))
+    assert G.number_of_nodes() > sys.getrecursionlimit()
+    assert planarity._planar({v: list(G[v]) for v in G})
+    G.add_edges_from([(0, 3599), (59, 3540)])
+    assert not planarity._planar({v: list(G[v]) for v in G})
+
+
+def test_atlas_decisions_and_replays_stay_within_the_lr_test_budget(empty_cache, monkeypatch):
+    # 1,470 LR tests when only the Euler bound and the cache came first
+    from toroidal import decide_toroidal, verify_certificate
+
+    calls = []
+    original = planarity._lr_planar
+
+    def counting(adj):
+        calls.append(adj)
+        return original(adj)
+
+    monkeypatch.setattr(planarity, "_lr_planar", counting)
+    for g in atlas_graphs(max_n=7):
+        assert verify_certificate(g, decide_toroidal(g))
+    assert len(calls) <= 651
 
 
 def _assert_edge_minimal_witness(g):
@@ -162,7 +243,7 @@ def test_witness_is_edge_minimal_on_obstruction_minors():
     [("K5", 0), ("K3,3", 0), ("subdivided K5", 0), ("K3,3 plus a chord", 1)],
 )
 def test_extraction_planarity_tests_on_kuratowski_graphs(
-    shape, lr_tests, k5, k33, monkeypatch
+    shape, lr_tests, k5, k33, empty_cache, monkeypatch
 ):
     chorded = k33.add_edge(0, 1)
     g = {

@@ -153,7 +153,8 @@ def test_case_iii_walks_the_scan_instead_of_searching(monkeypatch, graph6):
 
 def test_scan_recurses_into_blocks_only(monkeypatch):
     # scan_block recurses into each augmented side component as it is, not
-    # block by block: check that every one of them is a block
+    # block by block: check that every one of them is a block, also those
+    # too small to reach scan_block
     graphs = atlas_graphs(max_n=7)
     for name in [f"G{i}" for i in range(1, 12)]:
         g = builtin(name)
@@ -161,23 +162,18 @@ def test_scan_recurses_into_blocks_only(monkeypatch):
     for name in ("G1", "G2", "G3", "G4"):
         g = builtin(name)
         graphs += [apply_split(g, op) for op in all_splits(g)]
-    original, inner, depth = scan_block, [], 0
+    original, components = decompose_by_corners, []
 
-    def spy(block, tk5s=None):
-        nonlocal depth
-        if depth:
-            inner.append(block)
-        depth += 1
-        try:
-            return original(block, tk5s)
-        finally:
-            depth -= 1
+    def spy(g, w):
+        dec = original(g, w)
+        components.extend(getattr(dec, "components", ()))
+        return dec
 
-    monkeypatch.setattr(structure, "scan_block", spy)
+    monkeypatch.setattr(structure, "decompose_by_corners", spy)
     for g in graphs:
         scan(g)
-    assert len(inner) > 1000
-    assert all(blocks(sc) == (sc,) for sc in inner)
+    assert len(components) > 1000
+    assert all(blocks(sc.augmented) == (sc.augmented,) for sc in components)
 
 
 def test_k33_through_the_artificial_corner_edge_is_lifted():
@@ -239,22 +235,22 @@ def test_decomposition_partitions_host_edges(k5, mgraph, g4):
         assert sorted(seen) == list(g.edges)
 
 
+def component_on_01(sub: Graph) -> SideComponent:
+    return SideComponent((0, 1), frozenset(sub.vertices), frozenset(sub.edges))
+
+
 def test_is_special_on_k5_minus_edge(k5):
-    sub = k5.delete_edge(0, 1)
-    sc = SideComponent((0, 1), sub, sub.add_edge(0, 1))
+    sc = component_on_01(k5.delete_edge(0, 1))
     assert is_special(sc)
 
 
 def test_is_special_rejects_present_edge_and_planar_augmentation():
-    edge = Graph((), [(0, 1)])
-    assert not is_special(SideComponent((0, 1), edge, edge))
-    p = Graph((), [(0, 9), (9, 1)])
-    assert not is_special(SideComponent((0, 1), p, p.add_edge(0, 1)))
+    assert not is_special(component_on_01(Graph((), [(0, 1)])))
+    assert not is_special(component_on_01(Graph((), [(0, 9), (9, 1)])))
 
 
 def test_special_component_augmentation_has_tk5_through_corners(k5):
-    sub = k5.delete_edge(0, 1)
-    sc = SideComponent((0, 1), sub, sub.add_edge(0, 1))
+    sc = component_on_01(k5.delete_edge(0, 1))
     assert is_special(sc)
     w = find_subdivision(sc.augmented, "K5", require_corners={0: 0, 1: 1})
     assert w is not None and {0, 1} <= set(w.corners)

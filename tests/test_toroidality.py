@@ -351,6 +351,41 @@ def test_replay_rechecks_the_class_of_the_special_component():
     assert not verify_certificate(g, forged)
 
 
+def test_replay_rechecks_the_class_of_two_nonplanar_augmented_components():
+    # K5 without 01 and 23 on 0..4, and K3,3 minus an edge glued on {0, 1}
+    # (vertices 5-8) and on {2, 3} (vertices 9-12): one block with a K3,3.
+    # A TK5 whose 0-1 path runs 0-7-5-1 and whose 2-3 path runs 2-11-9-3
+    # leaves two components whose augmentations are K3,3's, so a
+    # TwoNonplanarAugmented certificate built from it makes every other
+    # claim hold
+    k5_minus = [e for e in K5_EDGES if e not in ((0, 1), (2, 3))]
+    gadgets = [
+        (x, y)
+        for left, right in (((0, 5, 6), (1, 7, 8)), ((2, 9, 10), (3, 11, 12)))
+        for x in left
+        for y in right
+        if (x, y) != (left[0], right[0])
+    ]
+    g = Graph(range(13), k5_minus + gadgets)
+    assert decide_toroidal(g).status == NOT_IN_CLASS
+    paths = {e: e for e in K5_EDGES}
+    paths[(0, 1)] = (0, 7, 5, 1)
+    paths[(2, 3)] = (2, 11, 9, 3)
+    tk5 = SubdivisionWitness("K5", {i: i for i in range(5)}, paths)
+    dec = decompose_by_corners(g, tk5)
+    assert all(dec.component(a, b).scan.pattern == "K3,3" for a, b in ((0, 1), (2, 3)))
+    forged = ToroidalityVerdict(
+        NON_TOROIDAL,
+        CASE_TWO_NONPLANAR_AUGMENTED,
+        block_index=0,
+        nonplanar_blocks=(0,),
+        tk5=tk5,
+        components=tuple(map(_report, dec.components)),
+        bad_components=((0, 1), (2, 3)),
+    )
+    assert not verify_certificate(g, forged)
+
+
 def test_build_m_subdivision_on_m_graph(mgraph):
     w = find_k5_subdivision(mgraph)
     dec = decompose_by_corners(mgraph, w)

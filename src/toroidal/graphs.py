@@ -211,11 +211,21 @@ def bridges_of(g: Graph, h_vertices) -> list[BridgeOf]:
         for e in g.edges
         if e[0] in hv and e[1] in hv
     ]
-    for comp in g.induced_subgraph(set(g.vertices) - hv).connected_components():
+    seen = set(hv)
+    for s in g.vertices:
+        if s in seen:
+            continue
+        comp, stack = {s}, [s]  # the component of s in g minus the set
+        while stack:
+            for w in g.neighbors(stack.pop()):
+                if w not in seen and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
         # a neighbour of the component outside it lies in the set
         edges = {_norm_edge(x, w) for x in comp for w in g.neighbors(x)}
         attach = {w for x in comp for w in g.neighbors(x) if w in hv}
-        out.append(BridgeOf(frozenset(attach), comp, frozenset(edges)))
+        out.append(BridgeOf(frozenset(attach), frozenset(comp), frozenset(edges)))
     return out
 
 

@@ -16,12 +16,13 @@ parent's work.  Once a graph's status passes, one canonical search gives
 its automorphisms; an automorphism maps one edge's deletion and
 contraction onto another's, so the walk decides one deletion and one
 contraction per edge orbit and copies the status along the orbit.  A graph
-and its single-edge deletions share one pool of TK5s, offered to each
-contraction mapped through the merge, so a block whose TK5 survives needs
-no new Kuratowski extraction.  The splits of an accepted graph are applied
-one per orbit of the same automorphisms, and each split child starts from
-its parent's pool mapped through the split.  A child isomorphic to an
-earlier graph is skipped: each child is keyed by a cheap isomorphism
+and its single-edge minors share one pool of TK5s, so a block whose TK5
+survives needs no new Kuratowski extraction; a pooled TK5 that misses the
+vertex a contraction merges away validates there unchanged.  The splits of
+an accepted graph are applied one per orbit of the same automorphisms,
+which the canonical search memo hands back, and each split child starts
+from its parent's pool mapped through the split.  A child isomorphic to
+an earlier graph is skipped: each child is keyed by a cheap isomorphism
 invariant, and only children whose invariant an earlier graph shares pay
 for canonical forms.
 
@@ -100,15 +101,15 @@ def _min_degree_ok(g: Graph) -> bool:
 _WANTED = {"status": NON_TOROIDAL, "deletions": TOROIDAL, "contractions": TOROIDAL}
 
 
-def _edge_orbits(g: Graph, generators) -> list[tuple[int, int]]:
-    """Per edge of g in ``g.edges`` order, the first edge of its orbit under
-    the group that the vertex maps ``generators`` generate.  Each map must
-    send ``g.edges`` onto ``g.edges``; one that does not is an
-    :class:`InternalError`.  A subgroup of the automorphisms only gives
-    finer orbits, so nothing here rests on the generators being complete."""
-    edges = g.edges
-    index = {e: i for i, e in enumerate(edges)}
-    parent = list(range(len(edges)))  # a union-find; each root is its set's first
+def _orbit_firsts(items, image, generators) -> list:
+    """Per item, in order, the first item of its orbit under the group that
+    the vertex maps ``generators`` generate, where ``image(p, item)`` is the
+    item that the map p sends ``item`` to.  Each map must permute
+    ``items``; one that does not is an :class:`InternalError`.  A subgroup
+    of the automorphisms only gives finer orbits, so nothing here rests on
+    the generators being complete."""
+    index = {x: i for i, x in enumerate(items)}
+    parent = list(range(len(items)))  # a union-find; each root is its set's first
 
     def root(i: int) -> int:
         while parent[i] != i:
@@ -118,38 +119,37 @@ def _edge_orbits(g: Graph, generators) -> list[tuple[int, int]]:
 
     for p in generators:
         try:
-            image = [index[_norm_edge(p[u], p[v])] for u, v in edges]
+            images = [index[image(p, x)] for x in items]
         except (KeyError, GraphInputError):
-            image = None
-        if image is None or len(set(image)) != len(edges):
-            raise InternalError(f"{p} does not map the edges of g onto themselves")
-        for i, j in enumerate(image):
+            images = None
+        if images is None or len(set(images)) != len(items):
+            raise InternalError(f"{p} does not permute the items")
+        for i, j in enumerate(images):
             a, b = root(i), root(j)
             parent[max(a, b)] = min(a, b)
-    return [edges[root(i)] for i in range(len(edges))]
+    return [items[root(i)] for i in range(len(items))]
 
 
-def _minimality(g: Graph, tk5s: list, generators: list, contractions: bool = False):
+def _minimality(g: Graph, tk5s: list, contractions: bool = False):
     """The decisions of the minimality predicate, one at a time, as
     (clause, edge, status): g itself (edge None), each single-edge
     deletion, and with ``contractions`` each single-edge contraction.
 
-    Once g's status passes, ``generators`` gains the automorphisms that
-    g's canonical search records; a g that fails it pays for no search, and
-    each of its edges is an orbit of its own.  An automorphism maps one
-    edge's deletion and contraction onto another's, so only the first edge
-    of each edge orbit (:func:`_edge_orbits`) is decided, and every later
-    edge of the orbit gets its status.
+    Once g's status passes, its canonical search gives its automorphisms;
+    a g that fails it pays for no search, and each of its edges is an
+    orbit of its own.  An automorphism maps one edge's deletion and
+    contraction onto another's, so only the first edge of each edge orbit
+    (:func:`_orbit_firsts`) is decided, and every later edge of the orbit
+    gets its status.
 
-    g and its deletions share the pool ``tk5s``, which may start with TK5s
-    of a related graph and gains every TK5 found: a TK5 of g survives the
-    deletion of any edge off it.  Each contraction gets the pool mapped
-    through the merge."""
+    g and its minors share the pool ``tk5s``, which may start with TK5s of
+    a related graph and gains every TK5 found: a TK5 of g survives the
+    deletion of any edge off it, and the contraction of any edge u-v that
+    merges a vertex v off it into u."""
     status = decide_toroidal(g, tk5s=tk5s).status
     yield "status", None, status
-    if status == _WANTED["status"]:
-        generators += automorphism_generators(g)
-    firsts = _edge_orbits(g, generators)
+    generators = automorphism_generators(g) if status == _WANTED["status"] else []
+    firsts = _orbit_firsts(g.edges, lambda p, e: _norm_edge(p[e[0]], p[e[1]]), generators)
     deleted: dict[tuple[int, int], str] = {}
     for e, first in zip(g.edges, firsts):
         if first == e:
@@ -158,15 +158,14 @@ def _minimality(g: Graph, tk5s: list, generators: list, contractions: bool = Fal
     contracted: dict[tuple[int, int], str] = {}
     for e, first in zip(g.edges, firsts) if contractions else ():
         if first == e:
-            h, mapped = g.contract_edge(*e), [w.contracted(*e) for w in tk5s]
-            contracted[e] = decide_toroidal(h, tk5s=mapped).status
+            contracted[e] = decide_toroidal(g.contract_edge(*e), tk5s=tk5s).status
         yield "contractions", e, contracted[first]
 
 
 def _report(g: Graph, contractions: bool) -> dict:
     """Every decision of :func:`_minimality`; NotInClass anywhere marks the
     report failed."""
-    decided = list(_minimality(g, [], [], contractions))
+    decided = list(_minimality(g, [], contractions))
     ok = _min_degree_ok(g)
     report = {"min_degree_ok": ok, "status": decided[0][2], "deletions": []}
     report["not_in_class"] = any(s == NOT_IN_CLASS for _, _, s in decided)
@@ -190,18 +189,12 @@ def verify_minor_obstruction(g: Graph) -> dict:
     return _report(g, contractions=True)
 
 
-def is_topological_obstruction(
-    g: Graph, tk5s: list | None = None, generators: list | None = None
-) -> bool:
+def is_topological_obstruction(g: Graph, tk5s: list | None = None) -> bool:
     """The topological predicate, stopping at the first decision that
     fails it, for enumeration; g and its deletions share the pool ``tk5s``
-    of TK5s, and ``generators`` gains g's automorphisms once g's status
-    passes, as in :func:`_minimality`."""
+    of TK5s, as in :func:`_minimality`."""
     return _min_degree_ok(g) and all(
-        status == _WANTED[c]
-        for c, _, status in _minimality(
-            g, [] if tk5s is None else tk5s, [] if generators is None else generators
-        )
+        status == _WANTED[c] for c, _, status in _minimality(g, [] if tk5s is None else tk5s)
     )
 
 
@@ -254,32 +247,6 @@ def all_splits(g: Graph):
                 yield SplitOperation(v, kept, frozenset(moved))
 
 
-def _split_orbits(g: Graph, generators) -> list[list[SplitOperation]]:
-    """The split operations of g in orbits under the group that the
-    automorphisms ``generators`` of g generate; each orbit starts with its
-    first member in :func:`all_splits` order, and the orbits come in the
-    order of those first members."""
-    orbits = []
-    seen: set[tuple[int, frozenset[int]]] = set()
-    for op in all_splits(g):
-        if (op.vertex, op.part_moved) in seen:
-            continue
-        seen.add((op.vertex, op.part_moved))
-        orbit = [op]
-        for cur in orbit:  # grows while it is walked
-            for p in generators:
-                v = p[cur.vertex]
-                kept = frozenset(p[w] for w in cur.part_kept)
-                moved = frozenset(p[w] for w in cur.part_moved)
-                if g.neighbors(v)[0] in moved:  # all_splits keeps the anchor
-                    kept, moved = moved, kept
-                if (v, moved) not in seen:
-                    seen.add((v, moved))
-                    orbit.append(SplitOperation(v, kept, moved))
-        orbits.append(orbit)
-    return orbits
-
-
 class _IsomorphismClasses:
     """The isomorphism classes of the graphs added so far, keyed by
     :func:`~toroidal.isomorphism.refinement_invariant` and split by
@@ -319,51 +286,58 @@ def enumerate_splits(seeds, ceiling: int = 16) -> list[Graph]:
     in any graph survives (as a minor) in all of its splits, so every
     split ancestor of an obstruction is itself an obstruction.
 
-    Only the first split of each orbit under the automorphisms that the
-    canonical search of the parent records is applied; they are the
-    generators that the parent's edge orbits used in
-    :func:`is_topological_obstruction`, so each graph pays for one
-    automorphism search, and a child pays for none unless its status
-    passes.  An automorphism
-    maps one split's child onto the other's, so a later member of an orbit
-    is isomorphic to the first, which is by then accepted or rejected; the
-    first split of each isomorphism class is still applied first, so the
-    result is the same as splitting every way.
+    Only the first split of each orbit (:func:`_orbit_firsts`) under the
+    parent's automorphisms is applied.  They come from the canonical
+    search that :func:`is_topological_obstruction` made for the parent's
+    edge orbits, which the search memo still holds, so each graph pays for
+    one automorphism search, and a child pays for none unless its status
+    passes.  An automorphism maps one split's child onto the other's, so a
+    later member of an orbit is isomorphic to the first, which is by then
+    accepted or rejected; the first split of each isomorphism class is
+    still applied first, so the result is the same as splitting every way.
 
     A graph, seed or child, is skipped exactly when it is isomorphic to an
     earlier one (:class:`_IsomorphismClasses`).  Most children have an
     invariant of their own, so most skip the canonical search.
 
     Each child starts from the TK5s that its parent and the parent's
-    deletions found, mapped through the split
+    minors found, mapped through the split
     (:meth:`~toroidal.subdivisions.SubdivisionWitness.split`).  A mapped
     TK5 is used only where it validates, and no status depends on which
     TK5 a decision uses.
     """
     accepted: list[Graph] = []
     seen = _IsomorphismClasses()
-    frontier: list[tuple[Graph, list, list]] = []
+    frontier: list[tuple[Graph, list]] = []
     for seed in seeds:
         if not seen.add(seed):
             continue
         tk5s: list = []
-        generators: list = []
-        if is_topological_obstruction(seed, tk5s, generators):
+        if is_topological_obstruction(seed, tk5s):
             accepted.append(seed.normalized())
-            frontier.append((seed, tk5s, generators))
+            frontier.append((seed, tk5s))
     while frontier:
-        g, pool, automorphisms = frontier.pop(0)
+        g, pool = frontier.pop(0)
         if g.n + 1 > ceiling:  # every split adds one vertex
             continue
         new = max(g.vertices) + 1  # the label apply_split gives the new end
-        for orbit in _split_orbits(g, automorphisms):
-            op = orbit[0]
+
+        def image(p, key):
+            v, moved = p[key[0]], frozenset(p[w] for w in key[1])
+            nbrs = g.neighbors(v)  # all_splits keeps the anchor nbrs[0] with v
+            return v, frozenset(nbrs) - moved if nbrs[0] in moved else moved
+
+        ops = list(all_splits(g))
+        keys = [(op.vertex, op.part_moved) for op in ops]
+        firsts = _orbit_firsts(keys, image, automorphism_generators(g))
+        for op, key, first in zip(ops, keys, firsts):
+            if first != key:
+                continue
             child = apply_split(g, op)
             if not seen.add(child):
                 continue
             tk5s = [w.split(op.vertex, op.part_moved, new) for w in pool]
-            generators = []
-            if is_topological_obstruction(child, tk5s, generators):
+            if is_topological_obstruction(child, tk5s):
                 accepted.append(child.normalized())
-                frontier.append((child, tk5s, generators))
+                frontier.append((child, tk5s))
     return sorted(accepted, key=lambda h: (h.n, h.m, to_graph6(h)))

@@ -4,17 +4,18 @@ The yes/no test is the package's own left-right (LR) planarity test, after
 Brandes, "The Left-Right Planarity Test" (2009), which turns the
 characterization of de Fraysseix and Rosenstiehl into an algorithm; the
 independent genus oracle cross-checks it in the test suite.  Every planarity
-question that the edge and degree counts leave open, from :func:`is_planar`
-and from each deletion step of an extraction, goes through one kernel,
-:func:`_planar`, which runs four exact steps before it runs an LR test:
+question, from :func:`is_planar` past its edge count and from each deletion
+step of an extraction, goes through one kernel, :func:`_planar`, which runs
+four exact steps before it runs an LR test:
 
 - it deletes each vertex of degree <= 1: no drawing is blocked by it;
 - it smooths each vertex of degree 2 into an edge between its neighbours,
   which is a subdivision away, or deletes it when they are already
   adjacent, since its path can then be drawn beside that edge;
-- it answers planar below 5 vertices (every such simple graph is planar),
-  and non-planar above 3n - 6 edges (Euler's bound for simple planar
-  graphs on n >= 3 vertices);
+- it answers a graph on at most 5 vertices by its edge count, as K5 is
+  the one non-planar simple graph among them, and any larger graph above
+  3n - 6 edges as non-planar (Euler's bound for simple planar graphs on
+  n >= 3 vertices);
 - it looks the reduced graph up in a cache keyed by its sorted edges, so
   graphs that reduce alike share one LR test.
 
@@ -22,15 +23,16 @@ A Kuratowski witness is extracted by edge deletion on one mutable copy of
 the non-planar input, which stays non-planar throughout.  Edges are tried
 in ascending order of their end degrees in the input; each deletion also
 removes every vertex it leaves with degree <= 1, and is undone, together
-with that pruning, if the rest is planar.  Two degree counts replace most
-LR tests:
-
-- A TK5 needs five vertices of degree >= 4 and a TK3,3 six of degree >= 3.
-  Fewer than that after a deletion means planar, with no LR test.
-- Once the degrees other than 2 are exactly five 4s or six 3s, the graph is
-  a TK5 or TK3,3 (plus disjoint cycles): its Kuratowski subdivision has to
-  take every such vertex as a branch vertex, hence all their edges and the
-  degree-2 paths between them.  The remaining edges are not tested.
+with that pruning, if the rest is planar.  The kernel settles most of
+these tests without an LR test: its reduction never raises a degree, so
+the reduced graph has no more vertices than the rest has of degree >= 3,
+and a rest with too few branch vertices for a TK5 or a TK3,3 reduces to a
+graph on at most 5 vertices other than K5.  One degree count ends the loop
+early: once the degrees other than 2 are exactly five 4s or six 3s, the
+graph is a TK5 or TK3,3 (plus disjoint cycles).  Its Kuratowski
+subdivision has to take every such vertex as a branch vertex, hence all
+their edges and the degree-2 paths between them, so the remaining edges
+are not tested.
 
 Otherwise the loop ends with an edge-minimal non-planar graph, which by
 Kuratowski's theorem is a K5- or K3,3-subdivision.  Either way the
@@ -254,8 +256,8 @@ def _planar(adj: Mapping[int, Iterable[int]]) -> bool:
                 continue
         stack.extend(ns)
     n, m = len(h), sum(map(len, h.values())) // 2
-    if n < 5 or m > 3 * n - 6:
-        return n < 5
+    if n <= 5 or m > 3 * n - 6:
+        return n <= 5 and m < 10  # on <= 5 vertices only K5 is non-planar
     key = tuple(sorted((u, v) for u, ns in h.items() for v in ns if u < v))
     cached = _planar_cache.get(key)
     if cached is None:
@@ -288,13 +290,6 @@ def _degree_counts(h: dict[int, set[int]]) -> Counter:
     return Counter(map(len, h.values()))
 
 
-def _rules_out_kuratowski(counts: Counter) -> bool:
-    """True when too few branch vertices remain for a TK5 (five of degree
-    >= 4) or a TK3,3 (six of degree >= 3), so the graph is planar."""
-    at_least_3 = sum(c for d, c in counts.items() if d >= 3)
-    return at_least_3 < 6 and at_least_3 - counts[3] < 5
-
-
 def _kuratowski_shaped(counts: Counter) -> bool:
     """Degrees other than 2 are exactly five 4s or six 3s.  A non-planar
     graph of this shape is a TK5 or a TK3,3 plus disjoint cycles: its
@@ -325,13 +320,12 @@ def _kuratowski_subgraph(g: Graph) -> dict[int, set[int]]:
         h[u].remove(v)
         h[v].remove(u)
         removed = [(u, v), *_prune(h, (u, v))]
-        smaller = _degree_counts(h)
-        if _rules_out_kuratowski(smaller) or _planar(h):
+        if _planar(h):
             for x, y in removed:
                 h.setdefault(x, set()).add(y)
                 h.setdefault(y, set()).add(x)
         else:
-            counts = smaller
+            counts = _degree_counts(h)
     return h
 
 

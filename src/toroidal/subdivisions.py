@@ -83,26 +83,6 @@ class SubdivisionWitness:
             out.update(_norm_edge(a, b) for a, b in zip(path, path[1:]))
         return out
 
-    def contracted(self, u: int, v: int) -> SubdivisionWitness:
-        """The image of this witness in ``g.contract_edge(u, v)``, which
-        merges v into u: v becomes u and a step u-v drops out.  It is a
-        witness there only when it still validates; merged corners or a
-        path that meets u twice do not."""
-
-        def merge(path):
-            out = []
-            for w in path:
-                w = u if w == v else w
-                if not out or out[-1] != w:
-                    out.append(w)
-            return tuple(out)
-
-        return SubdivisionWitness(
-            self.pattern,
-            {p: u if c == v else c for p, c in self.corner_map.items()},
-            {key: merge(path) for key, path in self.branch_paths.items()},
-        )
-
     def split(self, v: int, moved: frozenset[int], new: int) -> SubdivisionWitness:
         """The image of this witness after v becomes the edge v-new and
         its neighbours in ``moved`` go to new, as in

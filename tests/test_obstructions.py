@@ -19,7 +19,6 @@ from toroidal import (
     is_isomorphic,
     is_k33_free,
     is_topological_obstruction,
-    kuratowski_witness,
     m_graph,
     make_g4,
     to_graph6,
@@ -34,7 +33,7 @@ from toroidal.obstructions import (
     TOPOLOGICAL_OBSTRUCTION_NAMES,
     TOPOLOGICAL_ONLY,
     _IsomorphismClasses,
-    _split_orbits,
+    _orbit_firsts,
 )
 from toroidal.isomorphism import automorphism_generators, refinement_invariant
 
@@ -144,6 +143,24 @@ def test_split_validation():
         apply_split(g, SplitOperation(0, frozenset({1, 2}), frozenset({2, 3, 4})))
 
 
+def _split_orbits(g):
+    """The splits of g in orbits under its automorphisms, from
+    :func:`_orbit_firsts` keyed as :func:`enumerate_splits` keys them: each
+    orbit in the order of its members in :func:`all_splits`, and the orbits
+    in the order of their first members."""
+    ops = {(op.vertex, op.part_moved): op for op in all_splits(g)}
+
+    def image(p, key):
+        v, moved = p[key[0]], frozenset(p[w] for w in key[1])
+        nbrs = g.neighbors(v)  # all_splits keeps the anchor nbrs[0] with v
+        return v, frozenset(nbrs) - moved if nbrs[0] in moved else moved
+
+    orbits: dict[SplitOperation, list[SplitOperation]] = {}
+    for key, first in zip(ops, _orbit_firsts(list(ops), image, automorphism_generators(g))):
+        orbits.setdefault(ops[first], []).append(ops[key])
+    return list(orbits.values())
+
+
 def test_split_class_check_agrees_with_minor_search():
     # splitting the shared vertex of G2 can create a K3,3; the class gate
     # must agree with the independent brute-force minor search either way.
@@ -155,10 +172,7 @@ def test_split_class_check_agrees_with_minor_search():
     k33 = Graph.complete_bipartite(3, 3)
     g = builtin("G2")
     first = set(list(all_splits(g))[:60])
-    orbits = [
-        [op for op in orbit if op in first]
-        for orbit in _split_orbits(g, automorphism_generators(g))
-    ]
+    orbits = [[op for op in orbit if op in first] for orbit in _split_orbits(g)]
     orbits = [orbit for orbit in orbits if orbit]
     assert sum(len(orbit) for orbit in orbits) == 60
     seen_nonfree = False
@@ -216,7 +230,7 @@ def test_split_orbit_representatives_cover_every_split_child(splits_g1_to_g4):
     children = classes = 0
     for g in splits_g1_to_g4:
         ops = list(all_splits(g))
-        orbits = _split_orbits(g, automorphism_generators(g))
+        orbits = _split_orbits(g)
         position = {op: i for i, op in enumerate(ops)}
         flat = [position[op] for orbit in orbits for op in orbit]
         assert sorted(flat) == list(range(len(ops)))
@@ -240,21 +254,6 @@ def test_minor_statuses_match_fresh_decisions():
             assert c["status"] == decide_toroidal(g.contract_edge(*c["edge"])).status
 
 
-def test_contracted_witness():
-    # K5 on 0..4 with its 0-1 edge subdivided by 5
-    g = Graph.complete(5).delete_edge(0, 1).add_edge(0, 5).add_edge(5, 1)
-    tk5 = kuratowski_witness(g)
-    assert tk5.pattern == "K5" and tk5.branch_paths[(0, 1)] == (0, 5, 1)
-    merged = tk5.contracted(0, 5)
-    merged.validate(g.contract_edge(0, 5))
-    assert merged.branch_paths[(0, 1)] == (0, 1)
-    assert merged.branch_paths[(2, 3)] == tk5.branch_paths[(2, 3)]
-    corners_merged = tk5.contracted(2, 3)
-    with pytest.raises(ValueError):
-        corners_merged.validate(g.contract_edge(2, 3))
-    assert not corners_merged.holds_in(g.contract_edge(2, 3))
-
-
 def test_reports_reuse_validated_extractions(monkeypatch):
     graphs = [builtin(name) for name in TOPOLOGICAL_OBSTRUCTION_NAMES]
     calls = []
@@ -274,7 +273,7 @@ def test_reports_reuse_validated_extractions(monkeypatch):
     monkeypatch.setattr(structure, "decompose_by_corners", checking)
     for g in graphs:
         verify_minor_obstruction(g)
-    # 583 extractions before the pool; the pool made 112
+    # 583 extractions before the pool; 65 with it, as contractions take it unmapped
     assert len(calls) < 583 / 2
 
 
@@ -364,8 +363,8 @@ def test_split_regeneration_pays_for_few_canonical_searches(monkeypatch):
     # 109 searches when every child got a canonical form.  Now one search
     # per graph that needs a form or its automorphisms: 17 forms, and the
     # 11 accepted graphs and 4 children whose status passes, 25 graphs in
-    # all; 7 of them need both, from one search.  The split orbits reuse
-    # the automorphisms that the edge orbits used
+    # all; 7 of them need both, from one search.  The split orbits ask the
+    # search memo again for the automorphisms that the edge orbits used
     isomorphism._searched.cache_clear()
     calls = []
     search = isomorphism._canon_search
@@ -457,3 +456,25 @@ def test_edge_orbits_refuse_a_map_that_folds_edges_together(monkeypatch):
     monkeypatch.setattr(obstructions, "automorphism_generators", lambda h: [fold])
     with pytest.raises(InternalError):
         verify_topological_obstruction(g)
+
+
+def test_split_orbits_refuse_a_map_that_is_not_an_automorphism(monkeypatch):
+    # the parent's edge orbits get no generators, so its status and
+    # deletions pass; its split orbits then get a swap of two vertices
+    # with different neighbourhoods
+    g = builtin("G3")
+    u, v = next(
+        (u, v) for u, v in itertools.combinations(g.vertices, 2)
+        if set(g.neighbors(u)) - {v} != set(g.neighbors(v)) - {u}
+    )
+    swap = {w: w for w in g.vertices} | {u: v, v: u}
+    asked = []
+
+    def generators(h):
+        asked.append(h)
+        return [swap] if asked.count(h) > 1 else []
+
+    monkeypatch.setattr(obstructions, "automorphism_generators", generators)
+    with pytest.raises(InternalError):
+        enumerate_splits([g])
+    assert asked == [g, g]

@@ -190,7 +190,8 @@ def test_planar_kernel_on_a_grid_deeper_than_the_recursion_limit(empty_cache):
 
 
 def test_atlas_decisions_and_replays_stay_within_the_lr_test_budget(empty_cache, monkeypatch):
-    # 1,470 LR tests when only the Euler bound and the cache came first
+    # 1,470 LR tests when only the Euler bound and the cache came first,
+    # 651 before the kernel answered every graph on 5 vertices by its count
     from toroidal import decide_toroidal, verify_certificate
 
     calls = []
@@ -203,7 +204,7 @@ def test_atlas_decisions_and_replays_stay_within_the_lr_test_budget(empty_cache,
     monkeypatch.setattr(planarity, "_lr_planar", counting)
     for g in atlas_graphs(max_n=7):
         assert verify_certificate(g, decide_toroidal(g))
-    assert len(calls) <= 651
+    assert len(calls) <= 595
 
 
 def _assert_edge_minimal_witness(g):

@@ -1,18 +1,22 @@
 """Dead names in the package source: a module-level import that nothing
-reads, or a function local that is assigned and never read.
+reads, a function local that is assigned and never read, or a module-level
+private function, class or constant that no module of the package reads.
 
 Parsed with ``ast``, so nothing is imported or run.  ``__init__.py`` is
 skipped, as its imports are the package's re-exports; so are ``from
 __future__`` imports and the name ``_``.  A name that a function declares
 ``nonlocal`` or ``global`` counts as read, as its binding outlives the
-call.
+call.  A private name (one leading underscore; dunders are exempt) counts
+as read when any module of the package loads it, imports it or reads it
+as an attribute; the tests reading it do not count.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "toroidal"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -71,3 +75,41 @@ def dead_names(path: Path) -> list[str]:
 
 def test_no_unread_imports_or_locals():
     assert [d for p in MODULES for d in dead_names(p)] == []
+
+
+def _private_definitions(tree) -> list[tuple[int, str]]:
+    """(line, name) of each module-level function, class or constant whose
+    name is private but not a dunder."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [
+                (t.lineno, t.id) for target in targets for t in ast.walk(target)
+                if isinstance(t, ast.Name)
+            ]
+    return [(line, name) for line, name in out if name[:1] == "_" and name[:2] != "__"]
+
+
+def unread_private_names() -> list[str]:
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in ALL_MODULES}
+    read = set()
+    for tree in trees.values():
+        read |= _loads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(
+        f"{p.name}:{line} {name}"
+        for p, tree in trees.items()
+        for line, name in _private_definitions(tree)
+        if name not in read
+    )
+
+
+def test_no_unread_private_module_names():
+    assert unread_private_names() == []

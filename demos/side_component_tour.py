@@ -5,16 +5,16 @@ it, and the central component that dooms the embedding."""
 from toroidal import (
     builtin,
     build_m_subdivision,
+    decide_toroidal,
     decompose_by_corners,
-    find_k5_subdivision,
     is_planar,
-    is_special,
 )
 
 g4 = builtin("G4")
 print(f"G4: {g4.n} vertices, {g4.m} edges, degree sequence {g4.degree_sequence()}")
 
-w = find_k5_subdivision(g4)
+verdict = decide_toroidal(g4)
+w = verdict.tk5
 print(f"\nTK5 found with corners {sorted(w.corners)}")
 for (p, q), path in sorted(w.branch_paths.items()):
     if len(path) > 2:
@@ -22,12 +22,14 @@ for (p, q), path in sorted(w.branch_paths.items()):
 
 dec = decompose_by_corners(g4, w)
 print(f"\n{len(dec.components)} side components of the corner set:")
-for sc in dec.components:
+# the certificate reports each component's planarity, in the same order
+for sc, r in zip(dec.components, verdict.components, strict=True):
     tag = []
-    if not is_planar(sc.subgraph):
+    if not r.planar:
         tag.append("NON-PLANAR")
-    elif not is_planar(sc.augmented):
-        tag.append("special" if is_special(sc) else "augmentation non-planar")
+    elif not r.augmented_planar:
+        # planar with a non-planar augmentation: its corner edge is absent
+        tag.append("special")
     print(f"  corners {sc.corners}: {sc.subgraph.n} vertices, "
           f"{sc.subgraph.m} edges {' '.join(tag)}")
 

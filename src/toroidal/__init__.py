@@ -64,7 +64,6 @@ from .structure import (
     decompose_by_corners,
     find_k33_subdivision,
     is_k33_free,
-    is_special,
     m_graph,
 )
 from .subdivisions import (

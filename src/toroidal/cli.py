@@ -55,13 +55,16 @@ def _refusal(exc: Exception) -> tuple[str, int]:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The text of the file ``path``, or of stdin for '-'; a file that
+    cannot be opened, or is not UTF-8, is an input error."""
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise GraphInputError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "stdin" if path == "-" else path
+        raise GraphInputError(f"cannot read {source}: {exc}") from None
 
 
 def _parse_graphs(

@@ -21,10 +21,11 @@ survives needs no new Kuratowski extraction; a pooled TK5 that misses the
 vertex a contraction merges away validates there unchanged.  The splits of
 an accepted graph are applied one per orbit of the same automorphisms,
 which the canonical search memo hands back, and each split child starts
-from its parent's pool mapped through the split.  A child isomorphic to
-an earlier graph is skipped: each child is keyed by a cheap isomorphism
-invariant, and only children whose invariant an earlier graph shares pay
-for canonical forms.
+from its parent's pool mapped through the split: :func:`split_witness`
+maps a TK5's edges as :func:`apply_split` maps the graph's and reads the
+image off them.  A child isomorphic to an earlier graph is skipped: each
+child is keyed by a cheap isomorphism invariant, and only children whose
+invariant an earlier graph shares pay for canonical forms.
 
 The catalog is versioned graph6 data, read as stored.  Its M and G4 equal
 the constructions :func:`~toroidal.structure.m_graph` and :func:`make_g4`
@@ -44,6 +45,7 @@ from .errors import GraphInputError, InternalError
 from .graphs import Graph, _norm_edge, from_graph6, to_graph6
 from .isomorphism import automorphism_generators, canonical_form, refinement_invariant
 from .structure import m_graph
+from .subdivisions import SubdivisionWitness
 from .toroidality import NON_TOROIDAL, NOT_IN_CLASS, TOROIDAL, decide_toroidal
 
 MINOR_ORDER = "minor-order"
@@ -232,6 +234,28 @@ def apply_split(g: Graph, op: SplitOperation) -> Graph:
     return Graph(list(g.vertices) + [new], edges)
 
 
+def split_witness(w: SubdivisionWitness, op: SplitOperation, new: int) -> SubdivisionWitness:
+    """The image of the witness w in :func:`apply_split`'s graph, whose new
+    end of the split vertex v is ``new``, read off w's edges: each edge
+    from v toward ``op.part_moved`` goes to new, v-new joins when both ends
+    keep edges, and a corner v goes to the end of degree >= 3, the one
+    that keeps more edges.  A corner split evenly has no image that
+    validates."""
+    v = op.vertex
+    edges, degree = set(), {v: 0, new: 0}
+    for e in w.subgraph_edges():
+        if v in e:
+            x = e[1] if e[0] == v else e[0]
+            e = (new if x in op.part_moved else v, x)
+            degree[e[0]] += 1
+        edges.add(e)
+    if degree[v] and degree[new]:
+        edges.add((v, new))
+    home = new if degree[new] > degree[v] else v
+    corner_map = {p: home if c == v else c for p, c in w.corner_map.items()}
+    return SubdivisionWitness.from_edges(w.pattern, corner_map, edges)
+
+
 def all_splits(g: Graph):
     """Every SplitOperation of g, one per unordered neighborhood bipartition."""
     for v in g.vertices:
@@ -301,10 +325,9 @@ def enumerate_splits(seeds, ceiling: int = 16) -> list[Graph]:
     invariant of their own, so most skip the canonical search.
 
     Each child starts from the TK5s that its parent and the parent's
-    minors found, mapped through the split
-    (:meth:`~toroidal.subdivisions.SubdivisionWitness.split`).  A mapped
-    TK5 is used only where it validates, and no status depends on which
-    TK5 a decision uses.
+    minors found, mapped through the split (:func:`split_witness`).  A
+    mapped TK5 is used only where it validates, and no status depends on
+    which TK5 a decision uses.
     """
     accepted: list[Graph] = []
     seen = _IsomorphismClasses()
@@ -336,7 +359,7 @@ def enumerate_splits(seeds, ceiling: int = 16) -> list[Graph]:
             child = apply_split(g, op)
             if not seen.add(child):
                 continue
-            tk5s = [w.split(op.vertex, op.part_moved, new) for w in pool]
+            tk5s = [split_witness(w, op, new) for w in pool]
             if is_topological_obstruction(child, tk5s):
                 accepted.append(child.normalized())
                 frontier.append((child, tk5s))

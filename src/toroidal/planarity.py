@@ -35,10 +35,10 @@ their edges and the degree-2 paths between them, so the remaining edges
 are not tested.
 
 Otherwise the loop ends with an edge-minimal non-planar graph, which by
-Kuratowski's theorem is a K5- or K3,3-subdivision.  Either way the
-:class:`SubdivisionWitness` is read straight off the result's chains: its
-vertices of degree >= 3 are the corners, and each chain of degree-2 vertices
-between two corners is a branch path.  Validating the witness against the
+Kuratowski's theorem is a K5- or K3,3-subdivision.  Either way its vertices
+of degree >= 3 are the corners, and
+:meth:`SubdivisionWitness.from_edges` reads each chain of degree-2 vertices
+between two corners as a branch path.  Validating the witness against the
 input is the one check on that shape.
 """
 
@@ -49,7 +49,7 @@ from collections.abc import Iterable, Mapping
 
 from .errors import ClassViolationError, GraphInputError
 from .graphs import Graph
-from .subdivisions import K5_PATTERN, K33_PATTERN, SubdivisionWitness, pattern_graph
+from .subdivisions import K5_PATTERN, K33_PATTERN, SubdivisionWitness, _chain
 
 _planar_cache: dict[tuple[tuple[int, int], ...], bool] = {}
 
@@ -330,35 +330,19 @@ def _kuratowski_subgraph(g: Graph) -> dict[int, set[int]]:
 
 
 def _read_witness(h: dict[int, set[int]]) -> SubdivisionWitness:
-    """The TK5 or TK3,3 that the Kuratowski subgraph ``h`` is, read off its
-    chains: the corners are its vertices of degree >= 3, and the chain of
-    degree-2 vertices between two corners is their branch path.  A pattern
-    edge with no chain between its corners, or no corner, gets the empty
-    path, which does not validate."""
+    """The TK5 or TK3,3 that the Kuratowski subgraph ``h`` is: its
+    corners are its vertices of degree >= 3, and
+    :meth:`~toroidal.subdivisions.SubdivisionWitness.from_edges` reads its
+    branch paths off its chains of degree-2 vertices.  Five corners make a
+    TK5; otherwise one side of the K3,3 is the corners that no chain joins
+    to the lowest one, each side in ascending order."""
     corners = sorted(v for v, ns in h.items() if len(ns) >= 3)
-    chains = {}
-    for c in corners:
-        for w in h[c]:
-            path = [c, w]
-            while len(h[path[-1]]) == 2:
-                path.append(next(x for x in h[path[-1]] if x != path[-2]))
-            chains[c, path[-1]] = tuple(path)
-    if len(corners) == 5:
-        pattern, order = K5_PATTERN, corners
-    else:
-        # one side of a K3,3 is the corners not chained to the lowest one;
-        # the sort is stable, so each side stays in ascending order
-        pattern = K33_PATTERN
-        order = sorted(corners, key=lambda c: (corners[0], c) in chains)
-    corner_map = dict(enumerate(order))
-    return SubdivisionWitness(
-        pattern,
-        corner_map,
-        {
-            (p, q): chains.get((corner_map.get(p), corner_map.get(q)), ())
-            for p, q in pattern_graph(pattern).edges
-        },
-    )
+    pattern, order = K5_PATTERN, corners
+    if len(corners) != 5:
+        far = {_chain(h, corners, c, x)[-1] for c in corners[:1] for x in h[c]}
+        pattern, order = K33_PATTERN, sorted(corners, key=far.__contains__)
+    edges = ((u, v) for u, ns in h.items() for v in ns if u < v)
+    return SubdivisionWitness.from_edges(pattern, dict(enumerate(order)), edges)
 
 
 def kuratowski_witness(g: Graph) -> SubdivisionWitness:

@@ -12,7 +12,9 @@ starts from, keeping each component's scan for :func:`pinned_tk5`.
 :func:`scan` runs it over the blocks of a graph, and both the class check
 and the decision call it, so they share one Kuratowski extraction per
 block.  Across a family of related graphs, a pool of TK5s saves even that
-where one of them validates.
+where one of them validates.  Every witness built here, a TK3,3 closed
+through a bad bridge or a witness moved off a virtual corner edge, is read
+off its edges by :meth:`~toroidal.subdivisions.SubdivisionWitness.from_edges`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GraphInputError, InternalError
-from .graphs import BridgeOf, Graph, blocks, bridges_of
+from .graphs import BridgeOf, Graph, _norm_edge, blocks, bridges_of
 from .planarity import is_planar, kuratowski_witness
 from .subdivisions import (
     K5_PATTERN,
@@ -44,8 +46,8 @@ class SideComponent:
     """Union of all bridges spanning one fixed pair of corners: the sorted
     corner pair (a, b), the vertex set and the set of sorted edge pairs.
     ``subgraph`` and ``augmented`` (plus the edge ab) are built on first
-    use, and a ``small`` component, as most are, builds neither: its scan,
-    its report and :func:`is_special` follow from its counts."""
+    use, and a ``small`` component, as most are, builds neither: its scan
+    and its certificate report follow from its counts."""
 
     corners: tuple[int, int]
     vertices: frozenset[int]
@@ -110,12 +112,6 @@ def _bfs_path(
     raise InternalError("a bad bridge lacks the path its construction needs")
 
 
-def _segment(path: tuple[int, ...], x: int, end: int) -> tuple[int, ...]:
-    """The part of ``path`` from its vertex x to its end vertex ``end``."""
-    i = path.index(x)
-    return path[i::-1] if end == path[0] else path[i:]
-
-
 def _k33_from_bad_bridge(
     g: Graph, w: SubdivisionWitness, bridge: BridgeOf
 ) -> SubdivisionWitness:
@@ -131,7 +127,8 @@ def _k33_from_bad_bridge(
     (there is one, as the bridge also attaches at a third corner).  If y is
     a corner c, or lies inside P_ac, this gives {a,b,c}|{x,d,e}, c's leg
     running Q and then y..c; if y lies inside P_cd, it gives
-    {a,b,y}|{x,c,d}.
+    {a,b,y}|{x,c,d}.  The witness is read off the edges of these paths and
+    of the TK5's branch paths between the two sides.
     """
     bg = bridge.as_graph()
     hosted = [
@@ -141,40 +138,31 @@ def _k33_from_bad_bridge(
         a, b, c = sorted(bridge.attachments)[:3]
         ab = _bfs_path(bg, [a], bridge.internal, {b})
         cz = _bfs_path(bg, [c], bridge.internal, set(ab[1:-1]))
-        z = cz[-1]
-        legs = {
-            (a, z): _segment(ab, z, a)[::-1],
-            (b, z): _segment(ab, z, b)[::-1],
-            (c, z): cz,
-        }
-        left, right = (a, b, c), (z, *sorted(w.corners - {a, b, c}))
+        legs = [ab, cz]
+        left, right = (a, b, c), (cz[-1], *sorted(w.corners - {a, b, c}))
     else:
         pab = hosted[0]
         a, b = pab[0], pab[-1]
         on_tk5 = {v for path in w.branch_paths.values() for v in path}
         q = _bfs_path(bg, pab[1:-1], bridge.internal - on_tk5, on_tk5 - set(pab))
         x, y = q[0], q[-1]
-        legs = {(a, x): _segment(pab, x, a)[::-1], (b, x): _segment(pab, x, b)[::-1]}
         path = next((p for p in w.branch_paths.values() if y in p[1:-1]), (y,))
         ends = sorted({path[0], path[-1]} - {a, b})
         if len(ends) == 1:  # y is a corner c, or lies inside P_ac or P_bc
             (c,) = ends
-            legs[(c, x)] = _segment(path, y, c)[::-1] + q[-2::-1]
+            i = path.index(y)
+            legs = [pab, q, path[: i + 1] if c == path[0] else path[i:]]
             left, right = (a, b, c), (x, *sorted(w.corners - {a, b, c}))
         else:  # y lies inside P_cd
             c, d = ends
-            legs[(y, x)] = q[::-1]
-            legs[(y, c)] = _segment(path, y, c)
-            legs[(y, d)] = _segment(path, y, d)
+            legs = [pab, q, path]
             left, right = (a, b, y), (x, c, d)
-
-    def leg(s: int, t: int) -> tuple[int, ...]:
-        return legs[(s, t)] if (s, t) in legs else w.path(s, t)
-
-    return SubdivisionWitness(
+    # the rest are branch paths of w between the two sides
+    legs += [w.path(s, t) for s in left for t in right if {s, t} <= w.corners]
+    return SubdivisionWitness.from_edges(
         K33_PATTERN,
         dict(enumerate(left + right)),
-        {(i, 3 + j): leg(s, t) for i, s in enumerate(left) for j, t in enumerate(right)},
+        (e for leg in legs for e in zip(leg, leg[1:])),
     ).checked(g, "built TK3,3 witness")
 
 
@@ -216,16 +204,6 @@ def decompose_by_corners(
     if groups:
         raise InternalError(f"bridges on corner pairs {sorted(groups)} outside the pattern")
     return SideDecomposition(w, tuple(components))
-
-
-def is_special(sc: SideComponent) -> bool:
-    """Planar component, absent corner edge, non-planar augmentation."""
-    return (
-        not sc.corner_edge_present
-        and not sc.small
-        and is_planar(sc.subgraph)
-        and not is_planar(sc.augmented)
-    )
 
 
 def scan_block(
@@ -333,14 +311,13 @@ def _lift_through_augmentation(
 
 
 def _reroute(g: Graph, w: SubdivisionWitness, detour) -> SubdivisionWitness:
-    """w with its step between the ends of ``detour`` replaced by it."""
-    a, b = detour[0], detour[-1]
-    paths = dict(w.branch_paths)
-    for key, path in paths.items():
-        for i in range(len(path) - 1):
-            if {path[i], path[i + 1]} == {a, b}:
-                seg = detour if path[i] == a else detour[::-1]
-                paths[key] = path[:i] + seg + path[i + 2 :]
-    return SubdivisionWitness(w.pattern, dict(w.corner_map), paths).checked(
-        g, f"rerouted {w.pattern} witness"
-    )
+    """w with its step between the ends of ``detour`` replaced by it, when
+    w uses that step: the witness read off w's edges, less the step, plus
+    the detour's."""
+    edges = w.subgraph_edges()
+    step = _norm_edge(detour[0], detour[-1])
+    if step in edges:
+        edges.remove(step)
+        edges.update(zip(detour, detour[1:]))
+        w = SubdivisionWitness.from_edges(w.pattern, w.corner_map, edges)
+    return w.checked(g, f"rerouted {w.pattern} witness")

@@ -1,11 +1,14 @@
 """Subdivision and minor containment by exhaustive backtracking.
 
-``find_subdivision`` models a pattern graph inside a host via an injective
-corner map plus internally disjoint branch paths.  It routes one pattern
-edge at a time and backtracks as soon as the corners of an edge still to
-route are cut off from each other, so it skips only dead branches; it
-refuses with :class:`SearchBudgetExceeded` past ``SEARCH_BUDGET`` path
-steps.  ``find_minor`` searches for disjoint connected branch sets.
+A :class:`SubdivisionWitness` models a pattern graph inside a host via an
+injective corner map plus internally disjoint branch paths; every witness
+the package builds, rather than searches for, is read off its host edges
+and its corners by :meth:`SubdivisionWitness.from_edges`.
+``find_subdivision`` searches for one: it routes one pattern edge at a
+time and backtracks as soon as the corners of an edge still to route are
+cut off from each other, so it skips only dead branches; it refuses with
+:class:`SearchBudgetExceeded` past ``SEARCH_BUDGET`` path steps.
+``find_minor`` searches for disjoint connected branch sets.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GraphInputError, InternalError, SearchBudgetExceeded
-from .graphs import Graph, _norm_edge
+from .graphs import Graph
 
 # Pattern vertex conventions: K5 = 0..4; K3,3 = {0,1,2} vs {3,4,5};
 # M = two K5s sharing the central edge 0-1, triangles {2,3,4} and {5,6,7}.
@@ -47,6 +50,18 @@ def pattern_graph(name: str) -> Graph:
         raise GraphInputError(f"unknown pattern {name!r}") from None
 
 
+def _chain(adj, corners, c: int, x: int) -> tuple[int, ...]:
+    """The path from the corner c through its neighbour x, on through
+    vertices of degree 2 in the adjacency ``adj``, to the first vertex that
+    is a corner or not of degree 2."""
+    path = [c, x]
+    while x not in corners and len(adj[x]) == 2:
+        y, z = adj[x]
+        x = z if y == path[-2] else y
+        path.append(x)
+    return tuple(path)
+
+
 @dataclass(frozen=True, eq=False)
 class SubdivisionWitness:
     """A model of a pattern graph inside a host: corners plus branch paths.
@@ -60,6 +75,35 @@ class SubdivisionWitness:
     pattern: str
     corner_map: dict[int, int]
     branch_paths: dict[tuple[int, int], tuple[int, ...]]
+
+    @classmethod
+    def from_edges(cls, pattern: str, corner_map: dict[int, int], edges) -> SubdivisionWitness:
+        """The witness of the stock ``pattern`` with corners ``corner_map``
+        read off the host ``edges`` of a subdivision: from each corner,
+        each edge leads through vertices of degree 2 to the next corner,
+        and the path for pattern edge (p, q) is the chain so found from
+        corner_map[p] to corner_map[q].  A pattern edge with no such
+        chain, or no corner, gets the empty path, which does not
+        validate."""
+        adj: dict[int, set[int]] = {}
+        for a, b in edges:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        corners = set(corner_map.values())
+        chains = {}
+        for c in corners:
+            for x in adj.get(c, ()):
+                # most branch paths are single edges: skip the walk for them
+                path = (c, x) if x in corners else _chain(adj, corners, c, x)
+                chains[c, path[-1]] = path
+        return cls(
+            pattern,
+            dict(corner_map),
+            {
+                (p, q): chains.get((corner_map.get(p), corner_map.get(q)), ())
+                for p, q in pattern_graph(pattern).edges
+            },
+        )
 
     def pattern_graph(self) -> Graph:
         if self.pattern in (K5_PATTERN, K33_PATTERN, M_PATTERN):
@@ -78,47 +122,11 @@ class SubdivisionWitness:
         return found if found[0] == u else found[::-1]
 
     def subgraph_edges(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for path in self.branch_paths.values():
-            out.update(_norm_edge(a, b) for a, b in zip(path, path[1:]))
-        return out
-
-    def split(self, v: int, moved: frozenset[int], new: int) -> SubdivisionWitness:
-        """The image of this witness after v becomes the edge v-new and
-        its neighbours in ``moved`` go to new, as in
-        :func:`~toroidal.obstructions.apply_split`.  A path step x-v-y
-        passes through v, new, or both in the order of x's and y's sides.
-        A corner v goes to the side that holds most of its path
-        neighbours, and each path that leaves it toward the other side
-        gains the step v-new.  A corner split evenly has no image: two of
-        its paths would share that step, so the result does not
-        validate."""
-        ends = [
-            path[1] if path[0] == v else path[-2]
+        return {
+            (a, b) if a < b else (b, a)
             for path in self.branch_paths.values()
-            if v in (path[0], path[-1])
-        ]
-        home = new if 2 * sum(x in moved for x in ends) > len(ends) else v
-
-        def side(x: int) -> int:
-            return new if x in moved else v
-
-        def image(path):
-            out = []
-            for i, w in enumerate(path):
-                if w != v:
-                    out.append(w)
-                    continue
-                before = side(path[i - 1]) if i else home
-                after = side(path[i + 1]) if i + 1 < len(path) else home
-                out += (before, after) if before != after else (before,)
-            return tuple(out)
-
-        return SubdivisionWitness(
-            self.pattern,
-            {p: home if c == v else c for p, c in self.corner_map.items()},
-            {key: image(path) for key, path in self.branch_paths.items()},
-        )
+            for a, b in zip(path, path[1:])
+        }
 
     def holds_in(self, g: Graph) -> bool:
         """True when :meth:`validate` accepts this witness inside ``g``."""

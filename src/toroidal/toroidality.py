@@ -7,8 +7,10 @@ augmented, or all but one are and the last is special, or an M-subdivision
 exists whose augmented side components are all planar.  That last case
 needs no search: the M-subdivision is the TK5 joined with a TK5 of the
 one bad side component pinned at its corners, read off its scan, and when
-that component holds none, the graph is not toroidal.  Out-of-class inputs
-are reported as such, with a TK3,3 witness, rather than decided.
+that component holds none, the graph is not toroidal.  The TM is read off
+the edges of the two TK5s, less the first one's path between those
+corners.  Out-of-class inputs are reported as such, with a TK3,3 witness,
+rather than decided.
 
 Every verdict carries a machine-checkable certificate;
 :func:`verify_certificate` replays its claims against the planarity and
@@ -22,13 +24,12 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .errors import CertificateError, GraphInputError
-from .graphs import Graph, blocks
+from .graphs import Graph, _norm_edge, blocks
 from .planarity import is_planar
 from .structure import (
     SideComponent,
     SideDecomposition,
     decompose_by_corners,
-    is_special,
     pinned_tk5,
     scan,
 )
@@ -37,7 +38,6 @@ from .subdivisions import (
     K33_PATTERN,
     M_PATTERN,
     SubdivisionWitness,
-    pattern_graph,
 )
 
 TOROIDAL = "Toroidal"
@@ -153,13 +153,12 @@ def build_m_subdivision(
     corner_map = dict(enumerate([a, b, *outer_rest, *inner_rest]))
     # the inner TK5 lies in f, and w's paths but its a-b path lie in other
     # side components, so the halves meet only at a and b
-    paths = {
-        (mp, mq): (inner if {mp, mq} <= {0, 1, 5, 6, 7} else w).path(
-            corner_map[mp], corner_map[mq]
-        )
-        for mp, mq in pattern_graph(M_PATTERN).edges
-    }
-    return SubdivisionWitness(M_PATTERN, corner_map, paths).checked(g, "combined TM")
+    ab = w.path(a, b)
+    edges = w.subgraph_edges() - {_norm_edge(*e) for e in zip(ab, ab[1:])}
+    edges |= inner.subgraph_edges()
+    return SubdivisionWitness.from_edges(M_PATTERN, corner_map, edges).checked(
+        g, "combined TM"
+    )
 
 
 def _decide_block(block: Graph, dec: SideDecomposition) -> ToroidalityVerdict:
@@ -319,7 +318,10 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     f, r = bad[0]
     if v.case == CASE_II:
         _require(v.special_corners == f.corners, "special corners")
-        _require(is_special(f), "the component is special")
+        # r matches f's recomputed report, whose augmentation is non-planar;
+        # a present corner edge would make f its own augmentation, so f is
+        # special exactly when r says it is planar
+        _require(r.planar, "the component is special")
         return
     _require(not r.planar, "the component is non-planar")
     if v.case == CASE_NO_VALID_M:

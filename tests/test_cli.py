@@ -352,6 +352,26 @@ def test_input_error_exit_one(capsys, tmp_path):
         assert code == 1 and out == "" and err.startswith("input error: ")
 
 
+NOT_UTF8 = b"\xff\xfe\x00bad\n"
+
+
+@pytest.mark.parametrize("command", [["decide"], ["isomorphic", "K5"]], ids=["decide", "isomorphic"])
+def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, *command[:1], str(path), *command[1:])
+    assert code == 1 and out == ""
+    assert err.startswith(f"input error: cannot read {path}: ") and "utf-8" in err
+
+
+def test_stdin_that_is_not_utf8_is_an_input_error(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    code, out, err = run(capsys, "decide")
+    assert code == 1 and out == "" and err.startswith("input error: cannot read stdin: ")
+
+
 def test_decide_graph6_batch_survives_unparsable_line(tmp_path, capsys):
     path = tmp_path / "batch.g6"
     path.write_text("DhC\nnot-graph6!!\n")

@@ -34,6 +34,7 @@ from toroidal.obstructions import (
     TOPOLOGICAL_ONLY,
     _IsomorphismClasses,
     _orbit_firsts,
+    split_witness,
 )
 from toroidal.isomorphism import automorphism_generators, refinement_invariant
 
@@ -304,7 +305,7 @@ def test_split_witness_through_an_inner_vertex(moved, image):
     op = SplitOperation(5, frozenset(g.neighbors(5)) - set(moved), frozenset(moved))
     child = apply_split(g, op)
     assert max(child.vertices) == 8
-    split = tk5.split(5, op.part_moved, 8)
+    split = split_witness(tk5, op, 8)
     assert split.branch_paths[(0, 1)] == image
     assert split.corner_map == tk5.corner_map
     split.validate(child)
@@ -327,7 +328,7 @@ def test_split_witness_through_a_corner(moved, home, paths):
     tk5 = _direct_k5()
     op = SplitOperation(2, frozenset(g.neighbors(2)) - set(moved), frozenset(moved))
     child = apply_split(g, op)
-    split = tk5.split(2, op.part_moved, 7)
+    split = split_witness(tk5, op, 7)
     assert split.corner_map[2] == home
     for key, path in paths.items():
         assert split.branch_paths[key] == path
@@ -337,10 +338,8 @@ def test_split_witness_through_a_corner(moved, home, paths):
 def test_split_witness_through_an_even_corner_has_no_image():
     g = Graph.complete(5)
     op = SplitOperation(2, frozenset({0, 1}), frozenset({3, 4}))
-    split = _direct_k5().split(2, op.part_moved, 5)
-    # both paths toward the minority would run through 2-5
-    assert split.branch_paths[(2, 3)] == (2, 5, 3)
-    assert split.branch_paths[(2, 4)] == (2, 5, 4)
+    split = split_witness(_direct_k5(), op, 5)
+    # both ends of 2 keep three edges, and two paths would share 2-5
     assert not split.holds_in(apply_split(g, op))
 
 

@@ -23,12 +23,11 @@ from toroidal import (
     from_graph6,
     is_k33_free,
     is_planar,
-    is_special,
     verify_certificate,
 )
 from toroidal import structure
 from toroidal.structure import scan, scan_block
-from toroidal.toroidality import CASE_NO_VALID_M, NON_TOROIDAL
+from toroidal.toroidality import CASE_NO_VALID_M, NON_TOROIDAL, _report
 
 from conftest import all_labeled_graphs, atlas_graphs, random_graph, subdivide_edge
 
@@ -239,13 +238,22 @@ def component_on_01(sub: Graph) -> SideComponent:
     return SideComponent((0, 1), frozenset(sub.vertices), frozenset(sub.edges))
 
 
+def is_special(sc: SideComponent) -> bool:
+    """Whether sc's certificate report makes it special: planar, with a
+    non-planar augmentation, which leaves its corner edge absent."""
+    r = _report(sc)
+    return r.planar and not r.augmented_planar
+
+
 def test_is_special_on_k5_minus_edge(k5):
     sc = component_on_01(k5.delete_edge(0, 1))
     assert is_special(sc)
 
 
-def test_is_special_rejects_present_edge_and_planar_augmentation():
+def test_is_special_rejects_present_edge_and_planar_augmentation(k5):
     assert not is_special(component_on_01(Graph((), [(0, 1)])))
+    # with its corner edge present, a component is its own augmentation
+    assert not is_special(component_on_01(k5))
     assert not is_special(component_on_01(Graph((), [(0, 9), (9, 1)])))
 
 

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -9,16 +10,21 @@ import pytest
 from toroidal import (
     Graph,
     GraphInputError,
+    SubdivisionWitness,
     builtin,
     find_minor,
     find_subdivision,
     has_minor,
     has_subdivision,
     is_k33_free,
+    is_planar,
+    kuratowski_witness,
     pattern_graph,
 )
 
-from conftest import PETERSEN, all_labeled_graphs, random_graph, subdivide_edge
+from conftest import PETERSEN, all_labeled_graphs, atlas_graphs, random_graph, subdivide_edge
+
+PAYLOADS_BY_CASE = Path(__file__).resolve().parent / "data" / "payloads_by_case.json"
 
 
 def test_pattern_graphs():
@@ -60,6 +66,46 @@ def test_branch_path_runs_from_its_first_corner(k5, mgraph):
             u, v = w.corner_map[p], w.corner_map[q]
             assert w.path(u, v) == path
             assert w.path(v, u) == path[::-1]
+
+
+def assert_read_back_off_its_edges(w: SubdivisionWitness) -> None:
+    """from_edges gives w again from its own corners and edges: the same
+    corners and the same paths, each in the same direction and order."""
+    read = SubdivisionWitness.from_edges(w.pattern, w.corner_map, w.subgraph_edges())
+    assert read.pattern == w.pattern and read.corner_map == w.corner_map
+    assert list(read.branch_paths.items()) == list(w.branch_paths.items())
+
+
+def test_from_edges_reads_back_every_pinned_witness():
+    pinned = json.loads(PAYLOADS_BY_CASE.read_text(encoding="utf-8"))
+    payloads = [entry["payload"] for entry in pinned.values()]
+    witnesses = [p[k] for p in payloads for k in ("tk5", "tm", "k33") if k in p]
+    assert sorted(w["pattern"] for w in witnesses) == ["K3,3"] + ["K5"] * 6 + ["M"] * 2
+    for data in witnesses:
+        assert_read_back_off_its_edges(
+            SubdivisionWitness(
+                data["pattern"],
+                {int(p): c for p, c in data["corners"].items()},
+                {tuple(map(int, k.split(","))): tuple(v) for k, v in data["paths"].items()},
+            )
+        )
+
+
+def test_from_edges_reads_back_every_kuratowski_witness_of_the_atlas():
+    nonplanar = [g for g in atlas_graphs() if not is_planar(g)]
+    assert len(nonplanar) > 100
+    for g in nonplanar:
+        assert_read_back_off_its_edges(kuratowski_witness(g))
+
+
+def test_from_edges_gives_a_missing_chain_the_empty_path(k5):
+    # K5 less the edge 0-1: the pattern edge (0, 1) has no chain, and a
+    # corner missing from the map has none either
+    edges = [e for e in k5.edges if e != (0, 1)]
+    w = SubdivisionWitness.from_edges("K5", {i: i for i in range(5)}, edges)
+    assert w.branch_paths[(0, 1)] == () and not w.holds_in(k5)
+    w = SubdivisionWitness.from_edges("K5", {i: i for i in range(4)}, k5.edges)
+    assert w.branch_paths[(0, 4)] == () and w.branch_paths[(0, 1)] == (0, 1)
 
 
 def test_stock_pattern_graph_is_searched_as_that_pattern(k5, k33):

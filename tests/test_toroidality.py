@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -24,7 +25,6 @@ from toroidal import (
     from_graph6,
     has_minor,
     is_planar,
-    is_special,
     verify_certificate,
 )
 from toroidal.toroidality import (
@@ -338,7 +338,8 @@ def test_replay_rechecks_the_class_of_the_special_component():
     tk5 = SubdivisionWitness("K5", {i: i for i in range(5)}, paths)
     dec = decompose_by_corners(g, tk5)
     f = dec.component(0, 1)
-    assert is_special(f) and f.scan.pattern == "K3,3"
+    r = _report(f)
+    assert r.planar and not r.augmented_planar and f.scan.pattern == "K3,3"
     forged = ToroidalityVerdict(
         TOROIDAL,
         CASE_II,
@@ -545,6 +546,24 @@ def test_payload_of_each_case_is_pinned():
         v = decide_toroidal(from_graph6(entry["graph6"]))
         assert v.case == case
         assert json.dumps(v.to_payload()) == json.dumps(entry["payload"])
+
+
+LIFT_PAYLOADS = Path(__file__).resolve().parent / "data" / "lift_payloads.json"
+
+
+@pytest.mark.parametrize(
+    "path", list(json.loads(LIFT_PAYLOADS.read_text(encoding="utf-8")))
+)
+def test_payloads_through_each_witness_construction_are_pinned(path):
+    # small graphs whose decisions run one branch each of the TK3,3
+    # construction from a bad bridge, a nested TK3,3 lift and the pinned
+    # TK5's lift and reroute; the digests pin each certificate byte for byte
+    entry = json.loads(LIFT_PAYLOADS.read_text(encoding="utf-8"))[path]
+    g = from_graph6(entry["graph6"])
+    v = decide_toroidal(g)
+    assert v.case == entry["case"]
+    assert hashlib.sha256(v.to_json().encode()).hexdigest() == entry["sha256"]
+    assert verify_certificate(g, v)
 
 
 # forged fields on a valid certificate: (graph, changes to its verdict)

@@ -56,10 +56,11 @@ def _refusal(exc: Exception) -> tuple[str, int]:
 
 def _read_text(path: str) -> str:
     """The text of the file ``path``, or of stdin for '-'; a file that
-    cannot be opened, or is not UTF-8, is an input error."""
+    cannot be opened, or is not UTF-8, is an input error.  Stdin is read as
+    bytes and decoded here, as a file is, not by the locale's codec."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:

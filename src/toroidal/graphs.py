@@ -143,10 +143,6 @@ class Graph:
                 edges.add(_norm_edge(a2, b2))
         return Graph((w for w in self._vertices if w != v), edges)
 
-    def induced_subgraph(self, vertices) -> Graph:
-        vs = set(vertices)
-        return Graph(vs, (e for e in self._edges if e[0] in vs and e[1] in vs))
-
     def relabeled(self, mapping: dict[int, int]) -> Graph:
         """Apply an injective vertex relabeling; a vertex the mapping
         leaves out keeps its label."""
@@ -229,48 +225,56 @@ def bridges_of(g: Graph, h_vertices) -> list[BridgeOf]:
     return out
 
 
-def blocks(g: Graph) -> tuple[Graph, ...]:
-    """The blocks of g, by Hopcroft/Tarjan lowpoints.
+def blocks(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The blocks of g, by Hopcroft/Tarjan lowpoints, each as the sorted
+    tuple of its edges (``Graph((), b).edges == b``), so that a caller
+    builds a ``Graph`` only for a block it scans.
 
     Every edge lies in exactly one block; isolated vertices are in none.
     """
+    adj = g._adj
     index: dict[int, int] = {}
     low: dict[int, int] = {}
-    counter = itertools.count()
     edge_stack: list[tuple[int, int]] = []
-    out: list[Graph] = []
+    out = []
     for root in g.vertices:
         if root in index:
             continue
-        # iterative DFS; (vertex, parent, neighbor iterator)
-        index[root] = low[root] = next(counter)
-        stack = [(root, None, iter(g.neighbors(root)))]
+        # iterative DFS; each frame is [vertex, parent, next neighbour position]
+        index[root] = low[root] = len(index)
+        stack = [[root, None, 0]]
         while stack:
-            v, parent, it = stack[-1]
-            for w in it:
-                if w == parent:
-                    parent = None  # skip the tree edge to the parent once
-                    stack[-1] = (v, None, it)
-                elif w not in index:
-                    index[w] = low[w] = next(counter)
-                    edge_stack.append(_norm_edge(v, w))
-                    stack.append((w, v, iter(g.neighbors(w))))
+            frame = stack[-1]
+            v, parent, i = frame
+            ns = adj[v]
+            while i < len(ns):
+                w = ns[i]
+                i += 1
+                iw = index.get(w)
+                if iw is None:
+                    frame[2] = i
+                    index[w] = low[w] = len(index)
+                    edge_stack.append((v, w) if v < w else (w, v))
+                    stack.append([w, v, 0])
                     break
-                elif index[w] < index[v]:
-                    edge_stack.append(_norm_edge(v, w))
-                    low[v] = min(low[v], index[w])
+                if iw < index[v] and w != parent:
+                    edge_stack.append((v, w) if v < w else (w, v))
+                    if iw < low[v]:
+                        low[v] = iw
             else:
                 stack.pop()
                 if stack:
                     u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
+                    if low[v] < low[u]:
+                        low[u] = low[v]
                     if low[v] >= index[u]:
-                        # u separates v's subtree: pop its block, down to uv
-                        e = _norm_edge(u, v)
-                        blk = [edge_stack.pop()]
-                        while blk[-1] != e:
-                            blk.append(edge_stack.pop())
-                        out.append(Graph((), blk))
+                        # u separates v's subtree: its block is the edge
+                        # stack down to uv
+                        e, k = ((u, v) if u < v else (v, u)), len(edge_stack) - 1
+                        while edge_stack[k] != e:
+                            k -= 1
+                        out.append(tuple(sorted(edge_stack[k:])))
+                        del edge_stack[k:]
     return tuple(out)
 
 

@@ -244,15 +244,22 @@ def scan_block(
 
 def scan(
     g: Graph, tk5s: list[SubdivisionWitness] | None = None
-) -> SubdivisionWitness | list[tuple[Graph, SideDecomposition | None]]:
+) -> SubdivisionWitness | list[tuple[Graph, SideDecomposition] | None]:
     """:func:`scan_block` over the blocks of g: the first TK3,3 witness it
-    finds, or else every block paired with its scan."""
+    finds, or else each block's scan, None for a planar block and the block
+    paired with its side decomposition otherwise.  A block of fewer than 9
+    edges is planar by its count, so only a larger one becomes a
+    ``Graph``."""
     scanned = []
-    for block in blocks(g):
+    for edges in blocks(g):
+        if len(edges) < 9:
+            scanned.append(None)
+            continue
+        block = Graph((), edges)
         found = scan_block(block, tk5s)
         if isinstance(found, SubdivisionWitness):
             return found
-        scanned.append((block, found))
+        scanned.append(None if found is None else (block, found))
     return scanned
 
 

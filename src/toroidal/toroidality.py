@@ -25,7 +25,7 @@ from functools import partial
 
 from .errors import CertificateError, GraphInputError
 from .graphs import Graph, _norm_edge, blocks
-from .planarity import is_planar
+from .planarity import _planar, is_planar
 from .structure import (
     SideComponent,
     SideDecomposition,
@@ -208,7 +208,7 @@ def decide_toroidal(
     scanned = scan(g, tk5s)
     if isinstance(scanned, SubdivisionWitness):
         return ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=scanned)
-    nonplanar = tuple(i for i, (_, dec) in enumerate(scanned) if dec is not None)
+    nonplanar = tuple(i for i, found in enumerate(scanned) if found is not None)
     if not nonplanar:
         return ToroidalityVerdict(TOROIDAL, CASE_ALL_PLANAR_BLOCKS)
     if len(nonplanar) >= 2:
@@ -267,7 +267,22 @@ def _check_side_components(
     return dec
 
 
+def _block_planar(edges: tuple[tuple[int, int], ...]) -> bool:
+    """``is_planar(Graph((), edges))`` for a block's sorted edges, with the
+    same adjacency and so the same kernel run, but no ``Graph``."""
+    if len(edges) < 9:
+        return True
+    adj = {v: [] for v in sorted({x for e in edges for x in e})}
+    for u, v in edges:  # sorted, so each list comes out sorted
+        adj[u].append(v)
+        adj[v].append(u)
+    return _planar(adj)
+
+
 def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
+    """Raise CertificateError at the first claim of v that fails on g.
+    Every block's planarity is tested from its edges; only the claimed
+    non-planar block becomes a ``Graph``, for its TK5 and side components."""
     fields = {k for k, x in vars(v).items() if _is_set(x)} - {"status", "case"}
     _require(
         (v.status, fields) == _CASES.get(v.case),
@@ -278,7 +293,7 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
         v.k33.validate(g)
         return
     blks = blocks(g)
-    nonplanar = tuple(i for i, b in enumerate(blks) if not is_planar(b))
+    nonplanar = tuple(i for i, b in enumerate(blks) if not _block_planar(b))
     if v.case == CASE_ALL_PLANAR_BLOCKS:
         _require(not nonplanar, "every block planar")
         return
@@ -292,7 +307,7 @@ def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
         nonplanar == (v.block_index,) == v.nonplanar_blocks,
         "exactly one non-planar block",
     )
-    block = blks[v.block_index]
+    block = Graph((), blks[v.block_index])
     _require(v.tk5.pattern == K5_PATTERN, "a TK5 witness")
     dec = _check_side_components(block, v.tk5, v.components)
     # the reports passed that check, so each states the planarity of the

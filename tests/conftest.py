@@ -48,6 +48,30 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(range(n), edges)
 
 
+def random_nx_graphs():
+    """500 seeded networkx graphs on 1-40 vertices, nodes and edges added
+    in shuffled order; sparse enough that many have isolated vertices and
+    several components."""
+    import networkx
+
+    rng = random.Random(16)
+    for _ in range(500):
+        n = rng.randint(1, 40)
+        p = rng.uniform(0, min(1.0, 8 / n))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        rng.shuffle(edges)
+        G = networkx.Graph()
+        G.add_nodes_from(rng.sample(range(n), n))
+        G.add_edges_from(edges)
+        yield G
+
+
+def induced_subgraph(g: Graph, vertices) -> Graph:
+    """The subgraph of g on ``vertices`` with every edge of g between them."""
+    vs = set(vertices)
+    return Graph(vs, (e for e in g.edges if e[0] in vs and e[1] in vs))
+
+
 def all_labeled_graphs(n: int):
     """Every labeled simple graph on n vertices."""
     slots = list(itertools.combinations(range(n), 2))

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -13,6 +14,13 @@ from conftest import SPLITS_G1_TO_G4, g3_with_k4s
 
 SPLITS_JSON = Path(__file__).resolve().parent / "data" / "splits_g1_g4.json"
 REPORTS_JSON = Path(__file__).resolve().parent / "data" / "obstruction_reports.json"
+
+
+def stdin_of(data):
+    """A stand-in for sys.stdin holding ``data``, text or bytes; the CLI
+    reads its bytes through ``buffer``."""
+    raw = data.encode() if isinstance(data, str) else data
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -230,9 +238,7 @@ def test_isomorphic_on_cycles_longer_than_the_recursion_limit(tmp_path, capsys):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO(to_edge_list_text(Graph.complete(4))))
+    monkeypatch.setattr("sys.stdin", stdin_of(to_edge_list_text(Graph.complete(4))))
     code, out, _ = run(capsys, "decide")
     assert code == 0 and "AllPlanarBlocks" in out
 
@@ -256,10 +262,8 @@ def test_decide_batch_survives_one_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("separator", ["  ", "\t", " \t "], ids=["spaces", "tab", "mixed"])
 def test_decide_batch_split_on_whitespace_only_line(capsys, monkeypatch, separator):
-    import io
-
     text = f"3 1\n0 1\n{separator}\n3 1\n1 2\n"
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", stdin_of(text))
     code, out, err = run(capsys, "decide", "--json")
     assert code == 0 and err == ""
     payload = json.loads(out)
@@ -268,9 +272,7 @@ def test_decide_batch_split_on_whitespace_only_line(capsys, monkeypatch, separat
 
 
 def test_decide_negative_vertex_count_is_an_input_error(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("-2 0\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("-2 0\n"))
     code, out, _ = run(capsys, "decide", "--json")
     assert code == 1
     (payload,) = json.loads(out)
@@ -278,8 +280,6 @@ def test_decide_negative_vertex_count_is_an_input_error(capsys, monkeypatch):
 
 
 def test_decide_huge_vertex_count_is_an_input_error(capsys, monkeypatch):
-    import io
-
     from toroidal import graphs
 
     def refuse(*args):
@@ -287,7 +287,7 @@ def test_decide_huge_vertex_count_is_an_input_error(capsys, monkeypatch):
 
     # the header asks for about 300 GB: refuse it before any graph is built
     monkeypatch.setattr(graphs, "Graph", refuse)
-    monkeypatch.setattr("sys.stdin", io.StringIO("1000000000 0\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("1000000000 0\n"))
     code, out, _ = run(capsys, "decide", "--json")
     assert code == 1
     (payload,) = json.loads(out)
@@ -365,11 +365,23 @@ def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, command):
 
 
 def test_stdin_that_is_not_utf8_is_an_input_error(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    monkeypatch.setattr("sys.stdin", stdin_of(NOT_UTF8))
     code, out, err = run(capsys, "decide")
     assert code == 1 and out == "" and err.startswith("input error: cannot read stdin: ")
+
+
+def test_stdin_that_is_not_utf8_is_refused_under_the_c_locale():
+    # in a real process: under the C locale sys.stdin decodes with
+    # surrogateescape, so the bytes must be decoded by the CLI itself
+    done = subprocess.run(
+        [sys.executable, "-m", "toroidal", "decide"],
+        input=NOT_UTF8, capture_output=True,
+        env={**os.environ, "LC_ALL": "C", "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    err = done.stderr.decode()
+    assert done.returncode == 1 and done.stdout == b""
+    assert err.startswith("input error: cannot read stdin: ") and "utf-8" in err
+    assert "Traceback" not in err
 
 
 def test_decide_graph6_batch_survives_unparsable_line(tmp_path, capsys):

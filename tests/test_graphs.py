@@ -1,4 +1,5 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -14,7 +15,7 @@ from toroidal import (
     to_graph6,
 )
 
-from conftest import all_labeled_graphs, random_graph, subdivide_edge
+from conftest import all_labeled_graphs, random_graph, random_nx_graphs, subdivide_edge
 
 
 def test_delete_edge_k5(k5):
@@ -70,15 +71,15 @@ def test_relabeling_that_merges_two_vertices_is_rejected():
 
 def test_blocks_two_triangles_sharing_vertex():
     g = Graph((), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    assert set(blocks(g)) == {Graph.cycle(3), Graph((), [(2, 3), (3, 4), (4, 2)])}
+    assert set(blocks(g)) == {Graph.cycle(3).edges, Graph((), [(2, 3), (3, 4), (4, 2)]).edges}
 
 
 def test_blocks_k5_single_block(k5):
-    assert blocks(k5) == (k5,)
+    assert blocks(k5) == (k5.edges,)
 
 
 def test_blocks_path():
-    assert set(blocks(Graph.path(4))) == {Graph((), [(i, i + 1)]) for i in range(3)}
+    assert set(blocks(Graph.path(4))) == {Graph((), [(i, i + 1)]).edges for i in range(3)}
 
 
 def test_blocks_partition_edges():
@@ -87,8 +88,50 @@ def test_blocks_partition_edges():
         g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.1, 0.6))
         seen = []
         for b in blocks(g):
-            seen.extend(b.edges)
+            assert Graph((), b).edges == b
+            seen.extend(b)
         assert sorted(seen) == list(g.edges)
+
+
+def _nx_blocks(G: nx.Graph) -> set[frozenset[tuple[int, int]]]:
+    return {
+        frozenset((u, v) if u < v else (v, u) for u, v in block)
+        for block in nx.biconnected_component_edges(G)
+    }
+
+
+def _assert_blocks_as_networkx(G: nx.Graph) -> None:
+    g = Graph(G.nodes, G.edges)
+    found = blocks(g)
+    assert all(Graph((), b).edges == b for b in found)
+    assert sum(map(len, found)) == g.m
+    assert set(map(frozenset, found)) == _nx_blocks(G)
+
+
+def test_blocks_agree_with_networkx_on_the_atlas():
+    from networkx.generators.atlas import graph_atlas_g
+
+    graphs = graph_atlas_g()
+    assert len(graphs) == 1253
+    for G in graphs:
+        _assert_blocks_as_networkx(G)
+
+
+def test_blocks_agree_with_networkx_on_random_graphs():
+    for G in random_nx_graphs():
+        _assert_blocks_as_networkx(G)
+
+
+def test_blocks_of_long_paths_and_grids_need_no_recursion():
+    # the DFS is iterative: 5,000 blocks deep and a 3,600-vertex grid both
+    # run at the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    path = nx.path_graph(5000)
+    _assert_blocks_as_networkx(path)
+    assert len(blocks(Graph(path.nodes, path.edges))) == 4999
+    grid = nx.convert_node_labels_to_integers(nx.grid_2d_graph(60, 60))
+    _assert_blocks_as_networkx(grid)
+    assert len(blocks(Graph(grid.nodes, grid.edges))) == 1
 
 
 def test_bridges_of_k5_minus_edge(k5):

@@ -19,7 +19,7 @@ from toroidal import (
 )
 from toroidal.obstructions import TOPOLOGICAL_OBSTRUCTION_NAMES
 
-from conftest import atlas_graphs, random_graph, subdivide_edge
+from conftest import atlas_graphs, random_graph, random_nx_graphs, subdivide_edge
 
 
 def test_planarity_of_small_classics(k4, k5, k33):
@@ -97,23 +97,9 @@ def test_lr_test_agrees_with_networkx_on_the_atlas():
     assert all(_lr_agrees(G) for G in graphs)
 
 
-def _random_nx_graphs():
-    # sparse enough that many have isolated vertices and several components
-    rng = random.Random(16)
-    for _ in range(500):
-        n = rng.randint(1, 40)
-        p = rng.uniform(0, min(1.0, 8 / n))
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-        rng.shuffle(edges)
-        G = nx.Graph()
-        G.add_nodes_from(rng.sample(range(n), n))
-        G.add_edges_from(edges)
-        yield G
-
-
 def test_lr_test_agrees_with_networkx_on_random_graphs():
     planar = isolated = split = 0
-    for G in _random_nx_graphs():
+    for G in random_nx_graphs():
         assert _lr_agrees(G), list(G.edges)
         planar += nx.check_planarity(G)[0]
         isolated += any(d == 0 for _, d in G.degree())
@@ -159,7 +145,7 @@ def test_planar_kernel_agrees_on_the_atlas(empty_cache):
 
 
 def test_planar_kernel_agrees_on_random_graphs(empty_cache):
-    for G in _random_nx_graphs():
+    for G in random_nx_graphs():
         assert _kernel_agrees(G), list(G.edges)
 
 
@@ -205,6 +191,25 @@ def test_atlas_decisions_and_replays_stay_within_the_lr_test_budget(empty_cache,
     for g in atlas_graphs(max_n=7):
         assert verify_certificate(g, decide_toroidal(g))
     assert len(calls) <= 595
+
+
+def test_atlas_decisions_and_replays_stay_within_the_graph_budget(empty_cache, monkeypatch):
+    # 5,765 when blocks built a Graph for every block, most of them single
+    # edges; now the inputs (1,252) and only the blocks that are scanned
+    # or replayed build one
+    from toroidal import decide_toroidal, verify_certificate
+
+    built = []
+    original = Graph.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    for g in atlas_graphs(max_n=7):
+        assert verify_certificate(g, decide_toroidal(g))
+    assert len(built) <= 2100
 
 
 def _assert_edge_minimal_witness(g):

@@ -22,7 +22,14 @@ from toroidal import (
     pattern_graph,
 )
 
-from conftest import PETERSEN, all_labeled_graphs, atlas_graphs, random_graph, subdivide_edge
+from conftest import (
+    PETERSEN,
+    all_labeled_graphs,
+    atlas_graphs,
+    induced_subgraph,
+    random_graph,
+    subdivide_edge,
+)
 
 PAYLOADS_BY_CASE = Path(__file__).resolve().parent / "data" / "payloads_by_case.json"
 
@@ -146,7 +153,7 @@ def test_petersen_has_k5_minor(k5):
     for p, branch in witness.items():
         assert not (branch & used)
         used |= branch
-        sub = PETERSEN.induced_subgraph(branch)
+        sub = induced_subgraph(PETERSEN, branch)
         assert Graph(branch, sub.edges).is_connected()
     for p, q in k5.edges:
         assert any(

@@ -313,7 +313,7 @@ def test_pinned_tk5_walk_agrees_with_the_pinned_search():
         v = decide_toroidal(g)
         if v.case not in (CASE_III, CASE_FAILED_M, CASE_NO_VALID_M):
             continue
-        block = blocks(g)[v.block_index]
+        block = Graph((), blocks(g)[v.block_index])
         dec = decompose_by_corners(block, v.tk5)
         (f,) = [sc for sc in dec.components if not is_planar(sc.augmented)]
         a, b = f.corners
@@ -564,6 +564,20 @@ def test_payloads_through_each_witness_construction_are_pinned(path):
     assert v.case == entry["case"]
     assert hashlib.sha256(v.to_json().encode()).hexdigest() == entry["sha256"]
     assert verify_certificate(g, v)
+
+
+ATLAS_PAYLOADS = Path(__file__).resolve().parent / "data" / "atlas_payloads.json"
+
+
+def test_atlas_payloads_are_pinned():
+    # every block_index names a block by its place in blocks(g), so the
+    # digest also pins the order in which the DFS emits the blocks
+    entry = json.loads(ATLAS_PAYLOADS.read_text(encoding="utf-8"))
+    verdicts = [decide_toroidal(g) for g in atlas_graphs(max_n=7)]
+    assert len(verdicts) == entry["graphs"]
+    assert sum(bool(v.block_index) for v in verdicts) == 11
+    text = "\n".join(v.to_json() for v in verdicts)
+    assert hashlib.sha256(text.encode()).hexdigest() == entry["sha256"]
 
 
 # forged fields on a valid certificate: (graph, changes to its verdict)

@@ -6,16 +6,21 @@ characterization of de Fraysseix and Rosenstiehl into an algorithm; the
 independent genus oracle cross-checks it in the test suite.  Every planarity
 question, from :func:`is_planar` past its edge count and from each deletion
 step of an extraction, goes through one kernel, :func:`_planar`, which runs
-four exact steps before it runs an LR test:
+five exact steps before it runs an LR test:
 
 - it deletes each vertex of degree <= 1: no drawing is blocked by it;
 - it smooths each vertex of degree 2 into an edge between its neighbours,
   which is a subdivision away, or deletes it when they are already
   adjacent, since its path can then be drawn beside that edge;
-- it answers a graph on at most 5 vertices by its edge count, as K5 is
-  the one non-planar simple graph among them, and any larger graph above
-  3n - 6 edges as non-planar (Euler's bound for simple planar graphs on
-  n >= 3 vertices);
+- it answers a graph above 3n - 6 edges as non-planar (Euler's bound for
+  simple planar graphs on n >= 3 vertices), which on five vertices is K5;
+- it answers a graph on at most 6 vertices within the bound by its K3,3
+  subgraphs.  On five or fewer it is planar, as K5 is the one non-planar
+  graph there.  On six, by Kuratowski's theorem, it is non-planar exactly
+  when it holds K3,3: a TK3,3 on six vertices is K3,3 itself, and a TK5
+  on six within the bound is K5 with an edge ab subdivided by a vertex f.
+  As every vertex now has degree >= 3, f has a third neighbour, a corner
+  c, and {a, b, c} | {f, d, e} is a K3,3;
 - it looks the reduced graph up in a cache keyed by its sorted edges, so
   graphs that reduce alike share one LR test.
 
@@ -26,10 +31,10 @@ removes every vertex it leaves with degree <= 1, and is undone, together
 with that pruning, if the rest is planar.  The kernel settles most of
 these tests without an LR test: its reduction never raises a degree, so
 the reduced graph has no more vertices than the rest has of degree >= 3,
-and a rest with too few branch vertices for a TK5 or a TK3,3 reduces to a
-graph on at most 5 vertices other than K5.  One degree count ends the loop
-early: once the degrees other than 2 are exactly five 4s or six 3s, the
-graph is a TK5 or TK3,3 (plus disjoint cycles).  Its Kuratowski
+and a rest with at most six of them reduces to a graph that the kernel
+answers by its edge count and its K3,3 subgraphs.  One degree count ends
+the loop early: once the degrees other than 2 are exactly five 4s or six
+3s, the graph is a TK5 or TK3,3 (plus disjoint cycles).  Its Kuratowski
 subdivision has to take every such vertex as a branch vertex, hence all
 their edges and the degree-2 paths between them, so the remaining edges
 are not tested.
@@ -46,12 +51,14 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from itertools import combinations
 
 from .errors import ClassViolationError, GraphInputError
 from .graphs import Graph
 from .subdivisions import K5_PATTERN, K33_PATTERN, SubdivisionWitness, _chain
 
 _planar_cache: dict[tuple[tuple[int, int], ...], bool] = {}
+FEWEST_NONPLANAR_EDGES = 9  # a TK3,3 has 9 edges and a TK5 10
 
 
 def _lr_planar(adj: Mapping[int, Iterable[int]]) -> bool:
@@ -235,7 +242,7 @@ def _lr_planar(adj: Mapping[int, Iterable[int]]) -> bool:
 
 
 def _planar(adj: Mapping[int, Iterable[int]]) -> bool:
-    """Whether the simple graph with adjacency ``adj`` is planar: the four
+    """Whether the simple graph with adjacency ``adj`` is planar: the five
     steps of the module docstring, then the LR test.  The reduction works
     on a copy, with an explicit stack, so no chain is too long for it."""
     h = {v: set(ns) for v, ns in adj.items()}
@@ -256,8 +263,10 @@ def _planar(adj: Mapping[int, Iterable[int]]) -> bool:
                 continue
         stack.extend(ns)
     n, m = len(h), sum(map(len, h.values())) // 2
-    if n <= 5 or m > 3 * n - 6:
-        return n <= 5 and m < 10  # on <= 5 vertices only K5 is non-planar
+    if n and m > 3 * n - 6:  # n is 0 or at least 4 after the reduction
+        return False
+    if n <= 6:
+        return n < 6 or not _holds_k33(h)
     key = tuple(sorted((u, v) for u, ns in h.items() for v in ns if u < v))
     cached = _planar_cache.get(key)
     if cached is None:
@@ -267,8 +276,19 @@ def _planar(adj: Mapping[int, Iterable[int]]) -> bool:
     return cached
 
 
+def _holds_k33(h: dict[int, set[int]]) -> bool:
+    """Whether the graph ``h`` on six vertices has K3,3 as a subgraph: the
+    side away from a fixed vertex is three of its neighbours, and lies in
+    the neighbourhood of each vertex on its side."""
+    v = next(iter(h))
+    return any(
+        all(side <= h[x] for x in h.keys() - side)
+        for side in map(set, combinations(h[v], 3))
+    )
+
+
 def is_planar(g: Graph) -> bool:
-    return g.m < 9 or _planar({v: g.neighbors(v) for v in g.vertices})
+    return g.m < FEWEST_NONPLANAR_EDGES or _planar({v: g.neighbors(v) for v in g.vertices})
 
 
 def _prune(h: dict[int, set[int]], candidates) -> list[tuple[int, int]]:

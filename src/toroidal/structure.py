@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .errors import GraphInputError, InternalError
 from .graphs import BridgeOf, Graph, _norm_edge, blocks, bridges_of
-from .planarity import is_planar, kuratowski_witness
+from .planarity import FEWEST_NONPLANAR_EDGES, is_planar, kuratowski_witness
 from .subdivisions import (
     K5_PATTERN,
     K33_PATTERN,
@@ -59,9 +59,8 @@ class SideComponent:
 
     @property
     def small(self) -> bool:
-        """Fewer than 9 edges with ab, so planar even augmented: a TK3,3
-        has 9 edges and a TK5 10."""
-        return len(self.edges) + (not self.corner_edge_present) < 9
+        """Too few edges with ab to be non-planar even augmented."""
+        return len(self.edges) + (not self.corner_edge_present) < FEWEST_NONPLANAR_EDGES
 
     @cached_property
     def subgraph(self) -> Graph:
@@ -220,9 +219,9 @@ def scan_block(
     such as the single-edge minors of one graph.  The first that validates
     on the block proves it non-planar and stands in for the planarity test
     and the extraction; any TK5 serves the decomposition.  A TK5 extracted
-    here is appended to the pool.  A block of fewer than 9 edges is
-    planar (a TK3,3 has 9 edges and a TK5 10), so it consults no pool."""
-    if block.m < 9:
+    here is appended to the pool.  A block too small to be non-planar
+    consults no pool."""
+    if block.m < FEWEST_NONPLANAR_EDGES:
         return None
     w = next((t for t in tk5s or () if t.holds_in(block)), None)
     if w is None:
@@ -247,12 +246,12 @@ def scan(
 ) -> SubdivisionWitness | list[tuple[Graph, SideDecomposition] | None]:
     """:func:`scan_block` over the blocks of g: the first TK3,3 witness it
     finds, or else each block's scan, None for a planar block and the block
-    paired with its side decomposition otherwise.  A block of fewer than 9
-    edges is planar by its count, so only a larger one becomes a
+    paired with its side decomposition otherwise.  A block too small to be
+    non-planar is None by its count, and only a larger one becomes a
     ``Graph``."""
     scanned = []
     for edges in blocks(g):
-        if len(edges) < 9:
+        if len(edges) < FEWEST_NONPLANAR_EDGES:
             scanned.append(None)
             continue
         block = Graph((), edges)

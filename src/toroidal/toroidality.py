@@ -25,7 +25,7 @@ from functools import partial
 
 from .errors import CertificateError, GraphInputError
 from .graphs import Graph, _norm_edge, blocks
-from .planarity import _planar, is_planar
+from .planarity import FEWEST_NONPLANAR_EDGES, _planar, is_planar
 from .structure import (
     SideComponent,
     SideDecomposition,
@@ -270,7 +270,7 @@ def _check_side_components(
 def _block_planar(edges: tuple[tuple[int, int], ...]) -> bool:
     """``is_planar(Graph((), edges))`` for a block's sorted edges, with the
     same adjacency and so the same kernel run, but no ``Graph``."""
-    if len(edges) < 9:
+    if len(edges) < FEWEST_NONPLANAR_EDGES:
         return True
     adj = {v: [] for v in sorted({x for e in edges for x in e})}
     for u, v in edges:  # sorted, so each list comes out sorted

@@ -160,11 +160,35 @@ def test_planar_kernel_agrees_on_random_graphs(empty_cache):
         _subdivided(nx.complete_bipartite_graph(3, 3), 50),
         nx.octahedral_graph(),
         nx.icosahedral_graph(),
+        # K5 with edge 01 subdivided by 5, which is joined to a third
+        # corner: six vertices of degree >= 3 and 12 edges that hold the
+        # K3,3 {0, 1, 2} | {3, 4, 5}
+        nx.Graph([(0, 5), (1, 5), (2, 5), (0, 2), (0, 3), (0, 4),
+                  (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
     ],
-    ids=["5000-cycle", "K5 subdivided", "K3,3 subdivided", "octahedron", "icosahedron"],
+    ids=[
+        "5000-cycle", "K5 subdivided", "K3,3 subdivided", "octahedron", "icosahedron",
+        "K5 with a subdivided edge",
+    ],
 )
 def test_planar_kernel_reductions_and_bound_are_exact(G, empty_cache):
     assert _kernel_agrees(G)
+
+
+def test_planar_kernel_agrees_on_every_reduced_six_vertex_graph(empty_cache):
+    # every labelled graph on six vertices that the reduction leaves as it
+    # is (each degree >= 3) and the Euler bound does not answer (<= 12
+    # edges): the kernel decides each one by its K3,3 subgraphs
+    pairs = list(itertools.combinations(range(6), 2))
+    checked = nonplanar = 0
+    for mask in range(1 << len(pairs)):
+        G = nx.Graph([e for i, e in enumerate(pairs) if mask >> i & 1])
+        if len(G) < 6 or min(d for _, d in G.degree()) < 3 or len(G.edges) > 12:
+            continue
+        assert _kernel_agrees(G), list(G.edges)
+        checked += 1
+        nonplanar += not nx.check_planarity(G)[0]
+    assert (checked, nonplanar) == (1737, 420)
 
 
 def test_planar_kernel_on_a_grid_deeper_than_the_recursion_limit(empty_cache):
@@ -177,7 +201,8 @@ def test_planar_kernel_on_a_grid_deeper_than_the_recursion_limit(empty_cache):
 
 def test_atlas_decisions_and_replays_stay_within_the_lr_test_budget(empty_cache, monkeypatch):
     # 1,470 LR tests when only the Euler bound and the cache came first,
-    # 651 before the kernel answered every graph on 5 vertices by its count
+    # 651 before the kernel answered every graph on 5 vertices by its count,
+    # 595 before it answered every graph on 6 vertices by its K3,3 subgraphs
     from toroidal import decide_toroidal, verify_certificate
 
     calls = []
@@ -190,7 +215,7 @@ def test_atlas_decisions_and_replays_stay_within_the_lr_test_budget(empty_cache,
     monkeypatch.setattr(planarity, "_lr_planar", counting)
     for g in atlas_graphs(max_n=7):
         assert verify_certificate(g, decide_toroidal(g))
-    assert len(calls) <= 595
+    assert len(calls) <= 149
 
 
 def test_atlas_decisions_and_replays_stay_within_the_graph_budget(empty_cache, monkeypatch):
@@ -245,15 +270,23 @@ def test_witness_is_edge_minimal_on_obstruction_minors():
 @pytest.mark.parametrize(
     "shape, lr_tests",
     # K3,3 plus a chord: the degree counts answer every deletion but the
-    # chord's, which leaves a K3,3 that only an LR test can tell non-planar
-    [("K5", 0), ("K3,3", 0), ("subdivided K5", 0), ("K3,3 plus a chord", 1)],
+    # chord's, and the kernel tells the K3,3 it leaves by its six vertices.
+    # K3,4 with its four side matched: deleting edge 03 leaves seven
+    # vertices of degree >= 3 under the Euler bound, which only an LR test
+    # can tell non-planar
+    [
+        ("K5", 0), ("K3,3", 0), ("subdivided K5", 0), ("K3,3 plus a chord", 0),
+        ("K3,4 plus a matching", 1),
+    ],
 )
 def test_extraction_planarity_tests_on_kuratowski_graphs(
     shape, lr_tests, k5, k33, empty_cache, monkeypatch
 ):
     chorded = k33.add_edge(0, 1)
+    matched = Graph(range(7), [*itertools.product(range(3), range(3, 7)), (3, 4), (5, 6)])
     g = {
-        "K5": k5, "K3,3": k33, "subdivided K5": k5, "K3,3 plus a chord": chorded
+        "K5": k5, "K3,3": k33, "subdivided K5": k5, "K3,3 plus a chord": chorded,
+        "K3,4 plus a matching": matched,
     }[shape]
     if shape == "subdivided K5":
         for e in list(g.edges):
@@ -269,7 +302,10 @@ def test_extraction_planarity_tests_on_kuratowski_graphs(
     h = planarity._kuratowski_subgraph(g)
     assert len(calls) == lr_tests
     kept = sorted((u, v) for u in h for v in h[u] if u < v)
-    assert kept == list((k33 if g is chorded else g).edges)
+    if g is matched:  # the K3,3 {0, 1, 2} | {4, 5, 6}
+        assert kept == list(itertools.product(range(3), range(4, 7)))
+    else:
+        assert kept == list((k33 if g is chorded else g).edges)
 
 
 PRISM = Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])

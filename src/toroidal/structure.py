@@ -71,8 +71,12 @@ class SideComponent:
         return Graph(self.vertices, self.edges | {self.corners})
 
     @cached_property
+    def augmented_planar(self) -> bool:
+        return self.small or is_planar(self.augmented)
+
+    @cached_property
     def scan(self) -> SubdivisionWitness | SideDecomposition | None:
-        return None if self.small else scan_block(self.augmented)
+        return None if self.augmented_planar else scan_block(self.augmented)
 
 
 @dataclass(frozen=True, eq=False)

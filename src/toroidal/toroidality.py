@@ -12,9 +12,12 @@ the edges of the two TK5s, less the first one's path between those
 corners.  Out-of-class inputs are reported as such, with a TK3,3 witness,
 rather than decided.
 
-Every verdict carries a machine-checkable certificate;
-:func:`verify_certificate` replays its claims against the planarity and
-structure modules.
+Every verdict carries a machine-checkable certificate.
+:func:`verify_certificate` replays it with the decision's own case
+analysis, run on the certificate's witnesses.  A TK3,3 must validate on
+the graph.  Otherwise the TK5, and the TM when there is one, must
+validate on the one non-planar block, which must be in the class, and the
+verdict rebuilt from them must equal the certificate field for field.
 """
 
 from __future__ import annotations
@@ -114,15 +117,14 @@ def _plain(x):
 
 
 def _report(sc: SideComponent) -> ComponentReport:
-    augmented_planar = sc.small or is_planar(sc.augmented)
     return ComponentReport(
         corners=sc.corners,
         vertices=len(sc.vertices),
         edges=len(sc.edges),
         corner_edge_present=sc.corner_edge_present,
         # a subgraph of a planar graph is planar
-        planar=augmented_planar or is_planar(sc.subgraph),
-        augmented_planar=augmented_planar,
+        planar=sc.augmented_planar or is_planar(sc.subgraph),
+        augmented_planar=sc.augmented_planar,
     )
 
 
@@ -161,10 +163,13 @@ def build_m_subdivision(
     )
 
 
-def _decide_block(block: Graph, dec: SideDecomposition) -> ToroidalityVerdict:
+def _decide_block(
+    block: Graph, dec: SideDecomposition, m_dec: SideDecomposition | None = None
+) -> ToroidalityVerdict:
     """Three-case decision for one 2-connected non-planar K3,3-free block,
     from the side decomposition of its TK5; certificate fields are relative
-    to that block."""
+    to that block.  ``m_dec``, the side decomposition of a TM of the block,
+    stands in for the one that Case iii builds."""
     reports = tuple(_report(sc) for sc in dec.components)
     verdict = partial(ToroidalityVerdict, tk5=dec.witness, components=reports)
     bad = [(sc, r) for sc, r in zip(dec.components, reports) if not r.augmented_planar]
@@ -181,18 +186,34 @@ def _decide_block(block: Graph, dec: SideDecomposition) -> ToroidalityVerdict:
         # f is planar and f.augmented is not, so the corner edge is absent
         # and f is special
         return verdict(TOROIDAL, CASE_II, special_corners=f.corners)
-    tm = build_m_subdivision(block, dec.witness, f)
-    if tm is None:
-        return verdict(NON_TOROIDAL, CASE_NO_VALID_M, bad_components=(f.corners,))
-    m_reports = tuple(_report(sc) for sc in decompose_by_corners(block, tm).components)
+    if m_dec is None:
+        tm = build_m_subdivision(block, dec.witness, f)
+        if tm is None:
+            return verdict(NON_TOROIDAL, CASE_NO_VALID_M, bad_components=(f.corners,))
+        m_dec = decompose_by_corners(block, tm)
+    m_reports = tuple(_report(sc) for sc in m_dec.components)
     m_bad = tuple(r.corners for r in m_reports if not r.augmented_planar)
     return verdict(
         NON_TOROIDAL if m_bad else TOROIDAL,
         CASE_FAILED_M if m_bad else CASE_III,
         bad_components=m_bad,
-        tm=tm,
+        tm=m_dec.witness,
         m_components=m_reports,
     )
+
+
+def _by_blocks(nonplanar: tuple[int, ...], decide_block) -> ToroidalityVerdict:
+    """The verdict of an in-class graph whose non-planar blocks have the
+    indices ``nonplanar``; ``decide_block(i)`` decides block i when it is
+    the only one."""
+    if not nonplanar:
+        return ToroidalityVerdict(TOROIDAL, CASE_ALL_PLANAR_BLOCKS)
+    if len(nonplanar) >= 2:
+        return ToroidalityVerdict(
+            NON_TOROIDAL, CASE_TWO_NONPLANAR_BLOCKS, nonplanar_blocks=nonplanar
+        )
+    (index,) = nonplanar
+    return replace(decide_block(index), block_index=index, nonplanar_blocks=nonplanar)
 
 
 def decide_toroidal(
@@ -209,36 +230,14 @@ def decide_toroidal(
     if isinstance(scanned, SubdivisionWitness):
         return ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=scanned)
     nonplanar = tuple(i for i, found in enumerate(scanned) if found is not None)
-    if not nonplanar:
-        return ToroidalityVerdict(TOROIDAL, CASE_ALL_PLANAR_BLOCKS)
-    if len(nonplanar) >= 2:
-        return ToroidalityVerdict(
-            NON_TOROIDAL, CASE_TWO_NONPLANAR_BLOCKS, nonplanar_blocks=nonplanar
-        )
-    index = nonplanar[0]
-    block_verdict = _decide_block(*scanned[index])
-    return replace(block_verdict, block_index=index, nonplanar_blocks=nonplanar)
-
-
-# each case's status and the fields it sets besides status and case;
-# replay requires exactly these, so that no claim rides along unchecked
-_ONE_BLOCK = {"block_index", "nonplanar_blocks", "tk5", "components"}
-_CASES = {
-    CASE_NOT_IN_CLASS: (NOT_IN_CLASS, {"k33"}),
-    CASE_ALL_PLANAR_BLOCKS: (TOROIDAL, set()),
-    CASE_TWO_NONPLANAR_BLOCKS: (NON_TOROIDAL, {"nonplanar_blocks"}),
-    CASE_I: (TOROIDAL, _ONE_BLOCK),
-    CASE_TWO_NONPLANAR_AUGMENTED: (NON_TOROIDAL, _ONE_BLOCK | {"bad_components"}),
-    CASE_II: (TOROIDAL, _ONE_BLOCK | {"special_corners"}),
-    CASE_NO_VALID_M: (NON_TOROIDAL, _ONE_BLOCK | {"bad_components"}),
-    CASE_III: (TOROIDAL, _ONE_BLOCK | {"tm", "m_components"}),
-    CASE_FAILED_M: (NON_TOROIDAL, _ONE_BLOCK | {"bad_components", "tm", "m_components"}),
-}
+    return _by_blocks(nonplanar, lambda i: _decide_block(*scanned[i]))
 
 
 def verify_certificate(g: Graph, verdict: ToroidalityVerdict) -> bool:
-    """Replay every claim of a certificate: its fields, and each planarity
-    and speciality claim."""
+    """Replay a certificate: validate its witnesses on g, check the class
+    of its non-planar block, and require the verdict that the decision's
+    case analysis rebuilds from those witnesses, field for field.  Any
+    valid TM serves, not only the one the decision builds."""
     try:
         _verify_certificate(g, verdict)
         return True
@@ -250,21 +249,6 @@ def _require(condition: bool, claim: str) -> None:
     # an explicit check, not assert: replay must also run under python -O
     if not condition:
         raise CertificateError(f"certificate claim fails: {claim}")
-
-
-def _check_side_components(
-    block: Graph, w: SubdivisionWitness, reports
-) -> SideDecomposition:
-    """Validate w in the block and check the reports on its side
-    components."""
-    w.validate(block)
-    dec = decompose_by_corners(block, w)
-    _require(isinstance(dec, SideDecomposition), "no bad bridge of the corners")
-    _require(
-        tuple(map(_report, dec.components)) == tuple(reports),
-        f"the reports on the side components of the {w.pattern}",
-    )
-    return dec
 
 
 def _block_planar(edges: tuple[tuple[int, int], ...]) -> bool:
@@ -279,74 +263,45 @@ def _block_planar(edges: tuple[tuple[int, int], ...]) -> bool:
     return _planar(adj)
 
 
+def _side_decomposition(
+    block: Graph, w: SubdivisionWitness | None, pattern: str
+) -> SideDecomposition:
+    """The side decomposition of the claimed witness w, which must be a
+    valid subdivision of ``pattern`` in the block with no bad bridge."""
+    _require(w is not None and w.pattern == pattern, f"a T{pattern} witness")
+    w.validate(block)
+    dec = decompose_by_corners(block, w)
+    _require(isinstance(dec, SideDecomposition), f"no bad bridge of the {pattern}")
+    return dec
+
+
+def _replay_block(block: Graph, v: ToroidalityVerdict) -> ToroidalityVerdict:
+    """The decision's verdict on the one non-planar block, rebuilt from v's
+    TK5 and, when v has one, its TM in place of the one Case iii builds."""
+    dec = _side_decomposition(block, v.tk5, K5_PATTERN)
+    m_dec = None if v.tm is None else _side_decomposition(block, v.tm, M_PATTERN)
+    # every 3-connected K3,3-minor-free graph is planar or K5 (Wagner;
+    # Hall), so a block split by a TK5 or TM with no bad bridge is in the
+    # class exactly when no augmented side component holds a TK3,3; the
+    # decision assumes the class, and pinned_tk5 needs it
+    _require(
+        not any(isinstance(sc.scan, SubdivisionWitness) for sc in (m_dec or dec).components),
+        "no TK3,3 in an augmented side component",
+    )
+    return _decide_block(block, dec, m_dec)
+
+
 def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
     """Raise CertificateError at the first claim of v that fails on g.
-    Every block's planarity is tested from its edges; only the claimed
-    non-planar block becomes a ``Graph``, for its TK5 and side components."""
-    fields = {k for k, x in vars(v).items() if _is_set(x)} - {"status", "case"}
-    _require(
-        (v.status, fields) == _CASES.get(v.case),
-        f"the status and exactly the fields of case {v.case}",
-    )
-    if v.case == CASE_NOT_IN_CLASS:
+    Every block's planarity is tested from its edges; only the non-planar
+    block of a one-block verdict becomes a ``Graph``."""
+    if v.k33 is not None:
         _require(v.k33.pattern == K33_PATTERN, "a TK3,3 witness")
         v.k33.validate(g)
-        return
-    blks = blocks(g)
-    nonplanar = tuple(i for i, b in enumerate(blks) if not _block_planar(b))
-    if v.case == CASE_ALL_PLANAR_BLOCKS:
-        _require(not nonplanar, "every block planar")
-        return
-    if v.case == CASE_TWO_NONPLANAR_BLOCKS:
-        _require(
-            v.nonplanar_blocks == nonplanar and len(nonplanar) >= 2,
-            "two or more non-planar blocks",
-        )
-        return
-    _require(
-        nonplanar == (v.block_index,) == v.nonplanar_blocks,
-        "exactly one non-planar block",
-    )
-    block = Graph((), blks[v.block_index])
-    _require(v.tk5.pattern == K5_PATTERN, "a TK5 witness")
-    dec = _check_side_components(block, v.tk5, v.components)
-    # the reports passed that check, so each states the planarity of the
-    # side component at its position
-    bad = [(sc, r) for sc, r in zip(dec.components, v.components) if not r.augmented_planar]
-    if v.case == CASE_I:
-        _require(not bad, "every augmented component planar")
-        return
-    if v.case in (CASE_TWO_NONPLANAR_AUGMENTED, CASE_II, CASE_NO_VALID_M):
-        # these cases hold only in the class, and a TK3,3 in a non-planar
-        # augmented component would put the block outside it
-        _require(
-            not any(isinstance(sc.scan, SubdivisionWitness) for sc, _ in bad),
-            "no TK3,3 in a non-planar augmented component",
-        )
-    if v.case == CASE_TWO_NONPLANAR_AUGMENTED:
-        _require(
-            v.bad_components == tuple(r.corners for _, r in bad) and len(bad) >= 2,
-            "two or more non-planar augmented components",
-        )
-        return
-    _require(len(bad) == 1, "exactly one non-planar augmented component")
-    f, r = bad[0]
-    if v.case == CASE_II:
-        _require(v.special_corners == f.corners, "special corners")
-        # r matches f's recomputed report, whose augmentation is non-planar;
-        # a present corner edge would make f its own augmentation, so f is
-        # special exactly when r says it is planar
-        _require(r.planar, "the component is special")
-        return
-    _require(not r.planar, "the component is non-planar")
-    if v.case == CASE_NO_VALID_M:
-        _require(v.bad_components == (f.corners,), "the non-planar component")
-        tm = build_m_subdivision(block, v.tk5, f)
-        _require(tm is None, "no TK5 in the component pinned at its corners")
-        return
-    _require(v.tm.pattern == M_PATTERN, "a TM witness")
-    _check_side_components(block, v.tm, v.m_components)
-    m_bad = tuple(r.corners for r in v.m_components if not r.augmented_planar)
-    # Case iii sets no bad components and FailedMCase some, so this one
-    # claim requires m_bad empty in the one and non-empty in the other
-    _require(v.bad_components == m_bad, "the non-planar augmented M-side components")
+        expected = ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=v.k33)
+    else:
+        blks = blocks(g)
+        nonplanar = tuple(i for i, b in enumerate(blks) if not _block_planar(b))
+        expected = _by_blocks(nonplanar, lambda i: _replay_block(Graph((), blks[i]), v))
+    # expected holds v's own witnesses, so they compare by identity
+    _require(vars(v) == vars(expected), "every field as the case analysis sets it")

@@ -387,6 +387,37 @@ def test_replay_rechecks_the_class_of_two_nonplanar_augmented_components():
     assert not verify_certificate(g, forged)
 
 
+def test_replay_rechecks_the_class_of_failed_m_case():
+    # K5 on 0..4, K5 on {0, 1, 5, 6, 7} sharing the edge 01, and K3,3 on
+    # {5, 8, 9} | {6, 10, 11} less the edge 56, which the second K5 has:
+    # one block with a K3,3.  The TM of the two K5's leaves a component on
+    # 5, 6 whose augmentation holds that K3,3, so a FailedMCase certificate
+    # built from it makes every other claim hold
+    second_k5 = list(itertools.combinations((0, 1, 5, 6, 7), 2))
+    k33_minus = [(x, y) for x in (5, 8, 9) for y in (6, 10, 11) if (x, y) != (5, 6)]
+    g = Graph(range(12), K5_EDGES + second_k5[1:] + k33_minus)
+    assert decide_toroidal(g).status == NOT_IN_CLASS
+    tk5 = SubdivisionWitness("K5", {i: i for i in range(5)}, {e: e for e in K5_EDGES})
+    tm = SubdivisionWitness.from_edges(
+        "M", {i: i for i in range(8)}, K5_EDGES + second_k5[1:]
+    )
+    dec = decompose_by_corners(g, tk5)
+    m_dec = decompose_by_corners(g, tm)
+    assert m_dec.component(5, 6).scan.pattern == "K3,3"
+    forged = ToroidalityVerdict(
+        NON_TOROIDAL,
+        CASE_FAILED_M,
+        block_index=0,
+        nonplanar_blocks=(0,),
+        tk5=tk5,
+        components=tuple(map(_report, dec.components)),
+        bad_components=((5, 6),),
+        tm=tm,
+        m_components=tuple(map(_report, m_dec.components)),
+    )
+    assert not verify_certificate(g, forged)
+
+
 def test_build_m_subdivision_on_m_graph(mgraph):
     w = find_k5_subdivision(mgraph)
     dec = decompose_by_corners(mgraph, w)
@@ -618,9 +649,19 @@ def test_replay_rejects_a_forged_field(forgery):
     "case", list(json.loads(PAYLOADS_BY_CASE.read_text(encoding="utf-8")))
 )
 def test_replay_rejects_a_flipped_status(case):
+    # and every other one-field mutant: the case relabelled as each other
+    # case, and each set field but status and case reset to its default;
+    # replay rejects each one rather than raising
     pinned = json.loads(PAYLOADS_BY_CASE.read_text(encoding="utf-8"))
     g = from_graph6(pinned[case]["graph6"])
     v = decide_toroidal(g)
     assert verify_certificate(g, v)
     for status in {TOROIDAL, NON_TOROIDAL, NOT_IN_CLASS} - {v.status}:
         assert not verify_certificate(g, dataclasses.replace(v, status=status))
+    for other in set(pinned) - {case}:
+        assert not verify_certificate(g, dataclasses.replace(v, case=other))
+    claims = v.to_payload().keys() - {"status", "case"}
+    for field in dataclasses.fields(v):
+        if field.name in claims:
+            reset = dataclasses.replace(v, **{field.name: field.default})
+            assert not verify_certificate(g, reset), field.name

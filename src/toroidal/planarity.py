@@ -4,9 +4,9 @@ The yes/no test is the package's own left-right (LR) planarity test, after
 Brandes, "The Left-Right Planarity Test" (2009), which turns the
 characterization of de Fraysseix and Rosenstiehl into an algorithm; the
 independent genus oracle cross-checks it in the test suite.  Every planarity
-question, from :func:`is_planar` past its edge count and from each deletion
-step of an extraction, goes through one kernel, :func:`_planar`, which runs
-five exact steps before it runs an LR test:
+question, from :func:`is_planar` or :func:`planar_edges` past the edge
+count and from each deletion step of an extraction, goes through one
+kernel, :func:`_planar`, which runs five exact steps before an LR test:
 
 - it deletes each vertex of degree <= 1: no drawing is blocked by it;
 - it smooths each vertex of degree 2 into an edge between its neighbours,
@@ -50,7 +50,7 @@ input is the one check on that shape.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from itertools import combinations
 
 from .errors import ClassViolationError, GraphInputError
@@ -289,6 +289,19 @@ def _holds_k33(h: dict[int, set[int]]) -> bool:
 
 def is_planar(g: Graph) -> bool:
     return g.m < FEWEST_NONPLANAR_EDGES or _planar({v: g.neighbors(v) for v in g.vertices})
+
+
+def planar_edges(edges: Collection[tuple[int, int]]) -> bool:
+    """``is_planar(Graph((), edges))`` for distinct pairs u < v in any
+    collection: the same adjacency and kernel run, but no ``Graph``."""
+    if len(edges) < FEWEST_NONPLANAR_EDGES:
+        return True
+    edges = sorted(edges)
+    adj = {v: [] for v in sorted({x for e in edges for x in e})}
+    for u, v in edges:  # sorted, so each list comes out sorted
+        adj[u].append(v)
+        adj[v].append(u)
+    return _planar(adj)
 
 
 def _prune(h: dict[int, set[int]], candidates) -> list[tuple[int, int]]:

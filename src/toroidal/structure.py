@@ -6,15 +6,16 @@ pair form a side component.  A bad bridge, one touching three or more
 corners (or a non-adjacent corner pair of an M pattern), is returned in
 place of the decomposition: it certifies a K3,3-subdivision, and for a TK5
 one is built from it.  :func:`scan_block` makes one pass over a block,
-recursing into each augmented side component, itself a block: it either
-finds a TK3,3 or returns the decomposition that the toroidality decision
-starts from, keeping each component's scan for :func:`pinned_tk5`.
-:func:`scan` runs it over the blocks of a graph, and both the class check
-and the decision call it, so they share one Kuratowski extraction per
-block.  Across a family of related graphs, a pool of TK5s saves even that
-where one of them validates.  Every witness built here, a TK3,3 closed
-through a bad bridge or a witness moved off a virtual corner edge, is read
-off its edges by :meth:`~toroidal.subdivisions.SubdivisionWitness.from_edges`.
+recursing into each side component whose augmentation, itself a block, is
+non-planar: it either finds a TK3,3 or returns the decomposition, holding the
+block as its host, that the toroidality decision starts from, keeping each
+component's scan for :func:`pinned_tk5`.  :func:`scan` runs it over the blocks
+of a graph, and both the class check and the decision call it, so they share
+one Kuratowski extraction per block.  Across a family of related graphs, a pool
+of TK5s saves even that where one of them validates.  Every witness built here,
+a TK3,3 closed through a bad bridge or a witness moved off a virtual corner
+edge, is read off its edges by
+:meth:`~toroidal.subdivisions.SubdivisionWitness.from_edges`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 
 from .errors import GraphInputError, InternalError
 from .graphs import BridgeOf, Graph, _norm_edge, blocks, bridges_of
-from .planarity import FEWEST_NONPLANAR_EDGES, is_planar, kuratowski_witness
+from .planarity import FEWEST_NONPLANAR_EDGES, is_planar, kuratowski_witness, planar_edges
 from .subdivisions import (
     K5_PATTERN,
     K33_PATTERN,
@@ -45,9 +46,9 @@ def m_graph() -> Graph:
 class SideComponent:
     """Union of all bridges spanning one fixed pair of corners: the sorted
     corner pair (a, b), the vertex set and the set of sorted edge pairs.
-    ``subgraph`` and ``augmented`` (plus the edge ab) are built on first
-    use, and a ``small`` component, as most are, builds neither: its scan
-    and its certificate report follow from its counts."""
+    Its planarity, augmented by the edge ab or not, is asked of its edges:
+    only ``scan``, run when the augmentation is non-planar, builds
+    ``augmented``, and ``subgraph`` is built on first use."""
 
     corners: tuple[int, int]
     vertices: frozenset[int]
@@ -56,11 +57,6 @@ class SideComponent:
     @property
     def corner_edge_present(self) -> bool:
         return self.corners in self.edges
-
-    @property
-    def small(self) -> bool:
-        """Too few edges with ab to be non-planar even augmented."""
-        return len(self.edges) + (not self.corner_edge_present) < FEWEST_NONPLANAR_EDGES
 
     @cached_property
     def subgraph(self) -> Graph:
@@ -72,7 +68,7 @@ class SideComponent:
 
     @cached_property
     def augmented_planar(self) -> bool:
-        return self.small or is_planar(self.augmented)
+        return planar_edges(self.edges | {self.corners})
 
     @cached_property
     def scan(self) -> SubdivisionWitness | SideDecomposition | None:
@@ -81,6 +77,7 @@ class SideComponent:
 
 @dataclass(frozen=True, eq=False)
 class SideDecomposition:
+    host: Graph
     witness: SubdivisionWitness
     components: tuple[SideComponent, ...]
 
@@ -206,7 +203,7 @@ def decompose_by_corners(
         components.append(SideComponent((a, b), vs, es))
     if groups:
         raise InternalError(f"bridges on corner pairs {sorted(groups)} outside the pattern")
-    return SideDecomposition(w, tuple(components))
+    return SideDecomposition(g, w, tuple(components))
 
 
 def scan_block(
@@ -216,17 +213,16 @@ def scan_block(
     decision: None for a planar block, a TK3,3 witness when the block has
     one, and otherwise the side decomposition of its TK5, whose augmented
     side components are then all K3,3-free.  It recurses into each of them
-    as a block: the bridges on a corner pair {a, b} are connected and
-    attach at both, so with the edge ab they form a block as the host does.
+    whose augmentation is non-planar, as a block: the bridges on a corner
+    pair {a, b} are connected and attach at both, so with ab they form a
+    block as the host does.
 
     ``tk5s`` pools the TK5s already found in a family of related graphs,
     such as the single-edge minors of one graph.  The first that validates
     on the block proves it non-planar and stands in for the planarity test
     and the extraction; any TK5 serves the decomposition.  A TK5 extracted
     here is appended to the pool.  A block too small to be non-planar
-    consults no pool."""
-    if block.m < FEWEST_NONPLANAR_EDGES:
-        return None
+    consults no pool: callers gate by edge count or by planarity."""
     w = next((t for t in tk5s or () if t.holds_in(block)), None)
     if w is None:
         if is_planar(block):
@@ -241,28 +237,26 @@ def scan_block(
         return _k33_from_bad_bridge(block, w, dec)
     for sc in dec.components:
         if isinstance(sc.scan, SubdivisionWitness):
-            return _lift_through_augmentation(block, w, sc.scan, *sc.corners)
+            return _lift_through_augmentation(dec, sc, sc.scan)
     return dec
 
 
 def scan(
     g: Graph, tk5s: list[SubdivisionWitness] | None = None
-) -> SubdivisionWitness | list[tuple[Graph, SideDecomposition] | None]:
+) -> SubdivisionWitness | list[SideDecomposition | None]:
     """:func:`scan_block` over the blocks of g: the first TK3,3 witness it
-    finds, or else each block's scan, None for a planar block and the block
-    paired with its side decomposition otherwise.  A block too small to be
-    non-planar is None by its count, and only a larger one becomes a
-    ``Graph``."""
+    finds, or else each block's scan, None for a planar block and its side
+    decomposition, which holds the block as its host, otherwise.  A block
+    too small to be non-planar is None by its count, and only a larger one
+    becomes a ``Graph``."""
     scanned = []
     for edges in blocks(g):
-        if len(edges) < FEWEST_NONPLANAR_EDGES:
-            scanned.append(None)
-            continue
-        block = Graph((), edges)
-        found = scan_block(block, tk5s)
+        found = None
+        if len(edges) >= FEWEST_NONPLANAR_EDGES:
+            found = scan_block(Graph((), edges), tk5s)
         if isinstance(found, SubdivisionWitness):
             return found
-        scanned.append(None if found is None else (block, found))
+        scanned.append(found)
     return scanned
 
 
@@ -282,20 +276,21 @@ def pinned_tk5(f: SideComponent) -> SubdivisionWitness | None:
     None; f lies in a K3,3-free block.  There every TK5's corners are one
     K5 piece of the split along 2-separations (Wagner; Hall), and a piece
     holding a and b lies on the side of ab, so the walk goes down f's scan
-    toward ab and lifts what it meets.  The rest of a pinned TK5 fills one
-    {a, b}-bridge of f, or a TK3,3 closes, so a-b runs through another.
+    toward ab and lifts what it meets through each host and witness.  The
+    rest of a pinned TK5 fills one {a, b}-bridge of f, or a TK3,3 closes,
+    so a-b runs through another.
     """
     a, b = f.corners
-    h, found, walked = f.augmented, f.scan, []
+    found, walked = f.scan, []
     while found is not None and not {a, b} <= found.witness.corners:
         sc = next(sc for sc in found.components if (a, b) in sc.edges)
-        walked.append((h, found.witness, sc.corners))
-        h, found = sc.augmented, sc.scan
+        walked.append((found, sc))
+        found = sc.scan
     if found is None:
         return None
     t = found.witness
-    for h, w, (c, d) in reversed(walked):
-        t = _lift_through_augmentation(h, w, t, c, d)
+    for dec, sc in reversed(walked):
+        t = _lift_through_augmentation(dec, sc, t)
     if f.corner_edge_present or t.path(a, b) != (a, b):
         return t
     for br in bridges_of(f.subgraph, f.corners):
@@ -305,15 +300,12 @@ def pinned_tk5(f: SideComponent) -> SubdivisionWitness | None:
 
 
 def _lift_through_augmentation(
-    g: Graph,
-    outer: SubdivisionWitness,
-    inner: SubdivisionWitness,
-    a: int,
-    b: int,
+    dec: SideDecomposition, sc: SideComponent, inner: SubdivisionWitness
 ) -> SubdivisionWitness:
-    """Replace the step a-b of ``inner`` over the artificial corner edge ab,
-    which a witness uses at most once, by a detour through a third corner c
-    of the outer TK5, which meets both."""
+    """Lift ``inner`` out of the augmentation of ``sc``, a side component of
+    ``dec``: its step over the artificial corner edge ab, used at most once,
+    becomes a detour through a third corner c of the outer TK5."""
+    (a, b), g, outer = sc.corners, dec.host, dec.witness
     if g.has_edge(a, b):
         return inner  # ab is a real edge
     c = min(outer.corners - {a, b})

@@ -148,19 +148,25 @@ class SubdivisionWitness:
 
     def validate(self, g: Graph) -> None:
         """Raise ValueError unless this witness satisfies its invariants
-        inside ``g``."""
+        inside ``g``, also when it is malformed as data."""
+        if not isinstance(self.corner_map, dict) or not isinstance(self.branch_paths, dict):
+            raise ValueError("corner map or path map is not a dict")
         pat = self.pattern_graph()
         if set(self.corner_map) != set(pat.vertices):
             raise ValueError("corner map keys do not match the pattern")
-        if len(set(self.corner_map.values())) != pat.n:
-            raise ValueError("corner map is not injective")
         for p, v in self.corner_map.items():
-            if not g.has_vertex(v):
+            if not isinstance(v, int) or not g.has_vertex(v):
                 raise ValueError(f"corner image {v} missing from host")
             if g.degree(v) < pat.degree(p):
                 raise ValueError(f"host degree of corner {v} below pattern degree")
+        if len(set(self.corner_map.values())) != pat.n:
+            raise ValueError("corner map is not injective")
         if set(self.branch_paths) != set(pat.edges):
             raise ValueError("branch path keys do not match the pattern edges")
+        paths = self.branch_paths.values()
+        vertices = itertools.chain.from_iterable
+        if set(map(type, paths)) - {tuple} or set(map(type, vertices(paths))) - {int}:
+            raise ValueError("a branch path is not a tuple of ints")
         corners = self.corners
         seen_internal: set[int] = set()
         for (p, q), path in self.branch_paths.items():

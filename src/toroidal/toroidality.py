@@ -28,7 +28,7 @@ from functools import partial
 
 from .errors import CertificateError, GraphInputError
 from .graphs import Graph, _norm_edge, blocks
-from .planarity import FEWEST_NONPLANAR_EDGES, _planar, is_planar
+from .planarity import planar_edges
 from .structure import (
     SideComponent,
     SideDecomposition,
@@ -123,7 +123,7 @@ def _report(sc: SideComponent) -> ComponentReport:
         edges=len(sc.edges),
         corner_edge_present=sc.corner_edge_present,
         # a subgraph of a planar graph is planar
-        planar=sc.augmented_planar or is_planar(sc.subgraph),
+        planar=sc.augmented_planar or planar_edges(sc.edges),
         augmented_planar=sc.augmented_planar,
     )
 
@@ -141,10 +141,8 @@ def build_m_subdivision(
     f's scan).  When f holds none, every TM of g misses the K5 piece of w,
     which then makes some augmented side component of that TM non-planar.
     """
-    if is_planar(f.subgraph):
-        raise GraphInputError(
-            "build_m_subdivision needs the non-planar side component"
-        )
+    if planar_edges(f.edges):
+        raise GraphInputError("build_m_subdivision needs the non-planar side component")
     a, b = f.corners
     inner = pinned_tk5(f)
     if inner is None:
@@ -164,12 +162,12 @@ def build_m_subdivision(
 
 
 def _decide_block(
-    block: Graph, dec: SideDecomposition, m_dec: SideDecomposition | None = None
+    dec: SideDecomposition, m_dec: SideDecomposition | None = None
 ) -> ToroidalityVerdict:
     """Three-case decision for one 2-connected non-planar K3,3-free block,
-    from the side decomposition of its TK5; certificate fields are relative
-    to that block.  ``m_dec``, the side decomposition of a TM of the block,
-    stands in for the one that Case iii builds."""
+    ``dec.host``, from the side decomposition of its TK5; certificate fields
+    are relative to that block.  ``m_dec``, the side decomposition of a TM
+    of the block, stands in for the one that Case iii builds."""
     reports = tuple(_report(sc) for sc in dec.components)
     verdict = partial(ToroidalityVerdict, tk5=dec.witness, components=reports)
     bad = [(sc, r) for sc, r in zip(dec.components, reports) if not r.augmented_planar]
@@ -187,10 +185,10 @@ def _decide_block(
         # and f is special
         return verdict(TOROIDAL, CASE_II, special_corners=f.corners)
     if m_dec is None:
-        tm = build_m_subdivision(block, dec.witness, f)
+        tm = build_m_subdivision(dec.host, dec.witness, f)
         if tm is None:
             return verdict(NON_TOROIDAL, CASE_NO_VALID_M, bad_components=(f.corners,))
-        m_dec = decompose_by_corners(block, tm)
+        m_dec = decompose_by_corners(dec.host, tm)
     m_reports = tuple(_report(sc) for sc in m_dec.components)
     m_bad = tuple(r.corners for r in m_reports if not r.augmented_planar)
     return verdict(
@@ -230,7 +228,7 @@ def decide_toroidal(
     if isinstance(scanned, SubdivisionWitness):
         return ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=scanned)
     nonplanar = tuple(i for i, found in enumerate(scanned) if found is not None)
-    return _by_blocks(nonplanar, lambda i: _decide_block(*scanned[i]))
+    return _by_blocks(nonplanar, lambda i: _decide_block(scanned[i]))
 
 
 def verify_certificate(g: Graph, verdict: ToroidalityVerdict) -> bool:
@@ -251,24 +249,12 @@ def _require(condition: bool, claim: str) -> None:
         raise CertificateError(f"certificate claim fails: {claim}")
 
 
-def _block_planar(edges: tuple[tuple[int, int], ...]) -> bool:
-    """``is_planar(Graph((), edges))`` for a block's sorted edges, with the
-    same adjacency and so the same kernel run, but no ``Graph``."""
-    if len(edges) < FEWEST_NONPLANAR_EDGES:
-        return True
-    adj = {v: [] for v in sorted({x for e in edges for x in e})}
-    for u, v in edges:  # sorted, so each list comes out sorted
-        adj[u].append(v)
-        adj[v].append(u)
-    return _planar(adj)
-
-
 def _side_decomposition(
     block: Graph, w: SubdivisionWitness | None, pattern: str
 ) -> SideDecomposition:
     """The side decomposition of the claimed witness w, which must be a
     valid subdivision of ``pattern`` in the block with no bad bridge."""
-    _require(w is not None and w.pattern == pattern, f"a T{pattern} witness")
+    _require(isinstance(w, SubdivisionWitness) and w.pattern == pattern, f"a T{pattern}")
     w.validate(block)
     dec = decompose_by_corners(block, w)
     _require(isinstance(dec, SideDecomposition), f"no bad bridge of the {pattern}")
@@ -288,20 +274,22 @@ def _replay_block(block: Graph, v: ToroidalityVerdict) -> ToroidalityVerdict:
         not any(isinstance(sc.scan, SubdivisionWitness) for sc in (m_dec or dec).components),
         "no TK3,3 in an augmented side component",
     )
-    return _decide_block(block, dec, m_dec)
+    return _decide_block(dec, m_dec)
 
 
 def _verify_certificate(g: Graph, v: ToroidalityVerdict) -> None:
-    """Raise CertificateError at the first claim of v that fails on g.
-    Every block's planarity is tested from its edges; only the non-planar
-    block of a one-block verdict becomes a ``Graph``."""
+    """Raise CertificateError at the first claim of v that fails on g: a
+    witness field that it reads must hold a ``SubdivisionWitness``, and each
+    block's planarity is asked of its edge tuple; only the non-planar block
+    of a one-block verdict becomes a ``Graph``."""
     if v.k33 is not None:
-        _require(v.k33.pattern == K33_PATTERN, "a TK3,3 witness")
-        v.k33.validate(g)
-        expected = ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=v.k33)
+        w = v.k33
+        _require(isinstance(w, SubdivisionWitness) and w.pattern == K33_PATTERN, "a TK3,3")
+        w.validate(g)
+        expected = ToroidalityVerdict(NOT_IN_CLASS, CASE_NOT_IN_CLASS, k33=w)
     else:
         blks = blocks(g)
-        nonplanar = tuple(i for i, b in enumerate(blks) if not _block_planar(b))
+        nonplanar = tuple(i for i, b in enumerate(blks) if not planar_edges(b))
         expected = _by_blocks(nonplanar, lambda i: _replay_block(Graph((), blks[i]), v))
     # expected holds v's own witnesses, so they compare by identity
     _require(vars(v) == vars(expected), "every field as the case analysis sets it")

@@ -138,15 +138,48 @@ def _subdivided(G: nx.Graph, k: int) -> nx.Graph:
     return H
 
 
-def test_planar_kernel_agrees_on_the_atlas(empty_cache):
+# planar_edges takes any collection of a graph's sorted edge pairs, and
+# sorts them, so each asks the kernel what is_planar asks of their Graph
+EDGE_FORMS = {
+    "sorted tuple": lambda es: planarity.planar_edges(es),
+    "reversed list": lambda es: planarity.planar_edges(list(reversed(es))),
+    "frozenset": lambda es: planarity.planar_edges(frozenset(es)),
+    "Graph": lambda es: is_planar(Graph((), es)),
+}
+
+
+def _edge_forms_agree(graphs, monkeypatch):
+    """Each form answers each graph as networkx does, and each makes the
+    same number of LR tests from an empty cache."""
+    graphs, lr_tests = list(graphs), {}
+    original = planarity._lr_planar
+    for form, planar in EDGE_FORMS.items():
+        calls = []
+
+        def counting(adj):
+            calls.append(adj)
+            return original(adj)
+
+        monkeypatch.setattr(planarity, "_planar_cache", {})
+        monkeypatch.setattr(planarity, "_lr_planar", counting)
+        for G in graphs:
+            edges = tuple(sorted((min(e), max(e)) for e in G.edges))
+            assert planar(edges) == nx.check_planarity(G)[0], (form, edges)
+        lr_tests[form] = len(calls)
+    assert len(set(lr_tests.values())) == 1, lr_tests
+
+
+def test_planar_kernel_agrees_on_the_atlas(empty_cache, monkeypatch):
     from networkx.generators.atlas import graph_atlas_g
 
     assert all(_kernel_agrees(G) for G in graph_atlas_g())
+    _edge_forms_agree(graph_atlas_g(), monkeypatch)
 
 
-def test_planar_kernel_agrees_on_random_graphs(empty_cache):
+def test_planar_kernel_agrees_on_random_graphs(empty_cache, monkeypatch):
     for G in random_nx_graphs():
         assert _kernel_agrees(G), list(G.edges)
+    _edge_forms_agree(random_nx_graphs(), monkeypatch)
 
 
 @pytest.mark.parametrize(

@@ -113,3 +113,31 @@ def unread_private_names() -> list[str]:
 
 def test_no_unread_private_module_names():
     assert unread_private_names() == []
+
+
+KERNEL = {"_planar", "_lr_planar", "_planar_cache"}
+
+
+def kernel_reads() -> list[str]:
+    """Each place outside ``planarity.py`` that loads, imports or reads as
+    an attribute a name of the planarity kernel."""
+    out = []
+    for p in ALL_MODULES:
+        if p.name == "planarity.py":
+            continue
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name.split(".")[-1] for a in node.names]
+            else:
+                continue
+            out += [f"{p.name}:{node.lineno} {name}" for name in names if name in KERNEL]
+    return out
+
+
+def test_the_kernel_stays_in_planarity():
+    # every other module asks planarity through is_planar or planar_edges
+    assert kernel_reads() == []

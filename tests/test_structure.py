@@ -103,20 +103,20 @@ class _UntouchableTK5(SubdivisionWitness):
 
 
 def test_blocks_below_nine_edges_consult_no_pool():
-    # a TK3,3 has 9 edges and a TK5 10, so a smaller block is planar
-    # before any pooled TK5 is tried on it
+    # a TK3,3 has 9 edges and a TK5 10, so scan reads a smaller block as
+    # planar before any pooled TK5 is tried on it
     pool = [_UntouchableTK5("K5", {}, {})]
     k33_minus_edge = Graph.complete_bipartite(3, 3).delete_edge(0, 3)
     for block in (Graph.complete(2), Graph.cycle(3), Graph.complete(4), Graph.cycle(8),
                   k33_minus_edge):
         assert block.m < 9
-        assert scan_block(block, pool) is None
+        assert scan(block, pool) == [None]
     triangles = Graph(range(7), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4),
                                  (4, 5), (5, 6), (4, 6)])
     assert decide_toroidal(triangles, tk5s=pool).status == "Toroidal"
     assert len(pool) == 1
     with pytest.raises(AssertionError, match="pool was consulted"):
-        scan_block(Graph.complete_bipartite(3, 3), pool)
+        scan(Graph.complete_bipartite(3, 3), pool)
 
 
 def test_class_check_builds_every_k33_witness(monkeypatch):

@@ -25,6 +25,7 @@ from toroidal import (
     from_graph6,
     has_minor,
     is_planar,
+    pattern_graph,
     verify_certificate,
 )
 from toroidal.toroidality import (
@@ -579,6 +580,29 @@ def test_payload_of_each_case_is_pinned():
         assert json.dumps(v.to_payload()) == json.dumps(entry["payload"])
 
 
+def test_pinned_cases_stay_within_the_graph_budget(monkeypatch):
+    # 25 in decide and 21 in replay when side components built a Graph to
+    # ask their planarity; now only a component that is scanned builds one.
+    # The atlas budget cannot see this: its side components are all small
+    from toroidal import planarity
+
+    monkeypatch.setattr(planarity, "_planar_cache", {})
+    pinned = json.loads(PAYLOADS_BY_CASE.read_text(encoding="utf-8"))
+    graphs = [from_graph6(entry["graph6"]) for entry in pinned.values()]
+    built = []
+    original = Graph.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    verdicts = [decide_toroidal(g) for g in graphs]
+    decided = len(built)
+    assert all(verify_certificate(g, v) for g, v in zip(graphs, verdicts))
+    assert decided <= 17 and len(built) - decided <= 11
+
+
 LIFT_PAYLOADS = Path(__file__).resolve().parent / "data" / "lift_payloads.json"
 
 
@@ -665,3 +689,31 @@ def test_replay_rejects_a_flipped_status(case):
         if field.name in claims:
             reset = dataclasses.replace(v, **{field.name: field.default})
             assert not verify_certificate(g, reset), field.name
+
+
+def _malformed(w: SubdivisionWitness) -> dict:
+    """Witness fields that are not witnesses, or whose maps are not the
+    right data, as a payload read back from JSON may hold."""
+    return {
+        "dict": {"pattern": w.pattern},
+        "int paths": dataclasses.replace(w, branch_paths=dict.fromkeys(w.branch_paths, 1)),
+        "no path map": dataclasses.replace(w, branch_paths=None),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", list(json.loads(PAYLOADS_BY_CASE.read_text(encoding="utf-8")))
+)
+def test_replay_rejects_a_malformed_witness_field(case):
+    # each malformed shape in each witness field, set or not: replay
+    # returns False rather than raising; each shape keeps the field's own
+    # pattern and corners, so it reaches validation
+    pinned = json.loads(PAYLOADS_BY_CASE.read_text(encoding="utf-8"))
+    g = from_graph6(pinned[case]["graph6"])
+    v = decide_toroidal(g)
+    for field, pattern in {"tk5": "K5", "tm": "M", "k33": "K3,3"}.items():
+        corners = {p: p for p in pattern_graph(pattern).vertices}
+        w = getattr(v, field) or SubdivisionWitness.from_edges(pattern, corners, ())
+        for shape, bad in _malformed(w).items():
+            assert verify_certificate(g, dataclasses.replace(v, **{field: bad})) is False, (
+                field, shape)

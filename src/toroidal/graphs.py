@@ -198,31 +198,36 @@ def bridges_of(g: Graph, h_vertices) -> list[BridgeOf]:
     """All bridges of ``g`` with respect to the vertex set ``h_vertices``:
     each edge between two of its vertices, plus each component of g minus
     the set with its attachment edges."""
-    hv = set(h_vertices)
+    parts = _bridge_parts(g, set(h_vertices))
+    return [BridgeOf(frozenset(a), frozenset(c), frozenset(es)) for c, es, a in parts]
+
+
+def _bridge_parts(g: Graph, hv) -> list[tuple[list[int], list[tuple[int, int]], set[int]]]:
+    """The bridges of :func:`bridges_of` in its order, each as its inner
+    vertices, edges and attachments: the edges within ``hv`` in host edge
+    order, then by first vertex the components of g minus hv, from one search."""
     for v in hv:
         if not g.has_vertex(v):
             raise GraphInputError(f"reference vertex {v} not in graph")
-    out = [
-        BridgeOf(frozenset(e), frozenset(), frozenset((e,)))
-        for e in g.edges
-        if e[0] in hv and e[1] in hv
-    ]
+    parts = [([], [(a, b)], {a, b})
+             for a in sorted(hv) for b in g.neighbors(a) if a < b and b in hv]
     seen = set(hv)
     for s in g.vertices:
         if s in seen:
             continue
-        comp, stack = {s}, [s]  # the component of s in g minus the set
-        while stack:
-            for w in g.neighbors(stack.pop()):
-                if w not in seen and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        # a neighbour of the component outside it lies in the set
-        edges = {_norm_edge(x, w) for x in comp for w in g.neighbors(x)}
-        attach = {w for x in comp for w in g.neighbors(x) if w in hv}
-        out.append(BridgeOf(frozenset(attach), frozenset(comp), frozenset(edges)))
-    return out
+        seen.add(s)
+        comp, edges, attach = [s], [], set()
+        for v in comp:  # breadth first: comp grows as it is read
+            for x in g.neighbors(v):
+                if x in hv:
+                    attach.add(x)
+                elif x not in seen:
+                    seen.add(x)
+                    comp.append(x)
+                if v < x or x in hv:
+                    edges.append((v, x) if v < x else (x, v))
+        parts.append((comp, edges, attach))
+    return parts
 
 
 def blocks(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:

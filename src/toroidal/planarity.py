@@ -44,7 +44,9 @@ Kuratowski's theorem is a K5- or K3,3-subdivision.  Either way its vertices
 of degree >= 3 are the corners, and
 :meth:`SubdivisionWitness.from_edges` reads each chain of degree-2 vertices
 between two corners as a branch path.  Validating the witness against the
-input is the one check on that shape.
+input is the one check on that shape, and the one proof that the input is
+non-planar: it is not tested first, so a caller that has just asked pays
+for no second test, and a loop that keeps no deletion shows it planar.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Mapping
 from itertools import combinations
 
-from .errors import ClassViolationError, GraphInputError
+from .errors import ClassViolationError, GraphInputError, InternalError
 from .graphs import Graph
 from .subdivisions import K5_PATTERN, K33_PATTERN, SubdivisionWitness, _chain
 
@@ -332,15 +334,17 @@ def _kuratowski_shaped(counts: Counter) -> bool:
     return {d: c for d, c in counts.items() if d != 2} in ({4: 5}, {3: 6})
 
 
-def _kuratowski_subgraph(g: Graph) -> dict[int, set[int]]:
-    """A non-planar subgraph of the non-planar ``g`` that is a Kuratowski
-    subdivision, possibly plus disjoint cycles.
+def _kuratowski_subgraph(g: Graph) -> dict[int, set[int]] | None:
+    """A subgraph of ``g`` shaped as a Kuratowski subdivision, possibly plus
+    disjoint cycles, which it is when g is non-planar; None for a planar g
+    that is not shaped.
 
     Edges are deleted in ascending order of their end degrees in ``g``, each
     for good when the rest stays non-planar.  An edge is kept only when the
     graph without it was planar; the result is a subgraph of that graph, so
-    the loop run to its end leaves an edge-minimal non-planar graph.  It
-    stops early once the degrees alone show the graph is a subdivision.
+    the loop run to its end leaves an edge-minimal non-planar graph, which
+    is shaped, unless no deletion stayed and g is planar.  It stops early
+    once the degrees alone show a subdivision, if the graph is non-planar.
     """
     h = {v: set(g.neighbors(v)) for v in g.vertices}
     _prune(h, list(h))
@@ -359,7 +363,7 @@ def _kuratowski_subgraph(g: Graph) -> dict[int, set[int]]:
                 h.setdefault(y, set()).add(x)
         else:
             counts = _degree_counts(h)
-    return h
+    return h if _kuratowski_shaped(counts) else None
 
 
 def _read_witness(h: dict[int, set[int]]) -> SubdivisionWitness:
@@ -379,12 +383,17 @@ def _read_witness(h: dict[int, set[int]]) -> SubdivisionWitness:
 
 
 def kuratowski_witness(g: Graph) -> SubdivisionWitness:
-    """A TK5 or TK3,3 inside the non-planar graph ``g``."""
-    if is_planar(g):
-        raise GraphInputError("kuratowski_witness needs a non-planar graph")
-    return _read_witness(_kuratowski_subgraph(g)).checked(
-        g, "extracted Kuratowski witness"
-    )
+    """A TK5 or TK3,3 inside the non-planar graph ``g``.  A witness that
+    validates shows g non-planar, so g itself is tested only when the one
+    read off a shaped graph does not, to tell a planar g from a fault."""
+    h = _kuratowski_subgraph(g)
+    try:
+        if h is not None:
+            return _read_witness(h).checked(g, "extracted Kuratowski witness")
+    except InternalError:
+        if not is_planar(g):
+            raise
+    raise GraphInputError("kuratowski_witness needs a non-planar graph")
 
 
 def find_k5_subdivision(g: Graph) -> SubdivisionWitness:

@@ -2,20 +2,21 @@
 
 A 2-connected graph with a TK5 and no TK3,3 decomposes into bridges of the
 corner set, each spanning exactly two corners; bridges sharing a corner
-pair form a side component.  A bad bridge, one touching three or more
-corners (or a non-adjacent corner pair of an M pattern), is returned in
-place of the decomposition: it certifies a K3,3-subdivision, and for a TK5
-one is built from it.  :func:`scan_block` makes one pass over a block,
-recursing into each side component whose augmentation, itself a block, is
-non-planar: it either finds a TK3,3 or returns the decomposition, holding the
-block as its host, that the toroidality decision starts from, keeping each
-component's scan for :func:`pinned_tk5`.  :func:`scan` runs it over the blocks
-of a graph, and both the class check and the decision call it, so they share
-one Kuratowski extraction per block.  Across a family of related graphs, a pool
-of TK5s saves even that where one of them validates.  Every witness built here,
-a TK3,3 closed through a bad bridge or a witness moved off a virtual corner
-edge, is read off its edges by
-:meth:`~toroidal.subdivisions.SubdivisionWitness.from_edges`.
+pair form a side component, filed as one search labels the bridges.  A bad
+bridge, one touching three or more corners (or a non-adjacent corner pair
+of an M pattern), is returned in place of the decomposition: it certifies a
+K3,3-subdivision, and for a TK5 one is built from it.  :func:`scan_block`
+makes one pass over a block, recursing into each side component whose
+augmentation, itself a block, is non-planar, which is asked once and not
+again by the extraction: it either finds a TK3,3 or returns the
+decomposition, holding the block as its host, that the toroidality decision
+starts from, keeping each component's scan for :func:`pinned_tk5`.
+:func:`scan` runs it over the blocks of a graph, and both the class check
+and the decision call it, so they share one Kuratowski extraction per
+block.  Across a family of related graphs, a pool of TK5s saves even that
+where one of them validates.  Every witness built here, a TK3,3 closed
+through a bad bridge or a witness moved off a virtual corner edge, is read
+off its edges by :meth:`~toroidal.subdivisions.SubdivisionWitness.from_edges`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GraphInputError, InternalError
-from .graphs import BridgeOf, Graph, _norm_edge, blocks, bridges_of
+from .graphs import BridgeOf, Graph, _bridge_parts, _norm_edge, blocks, bridges_of
 from .planarity import FEWEST_NONPLANAR_EDGES, is_planar, kuratowski_witness, planar_edges
 from .subdivisions import (
     K5_PATTERN,
@@ -72,7 +73,9 @@ class SideComponent:
 
     @cached_property
     def scan(self) -> SubdivisionWitness | SideDecomposition | None:
-        return None if self.augmented_planar else scan_block(self.augmented)
+        if self.augmented_planar:
+            return None
+        return _scan_with(self.augmented, kuratowski_witness(self.augmented))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,36 +176,32 @@ def decompose_by_corners(
     return the first bad bridge of the corner set: one that spans three or
     more corners, or a non-adjacent corner pair of an M pattern.  A bad
     bridge proves that the host has a K3,3-subdivision.
+
+    The bridges come in the order of :func:`~toroidal.graphs.bridges_of`,
+    which defines the first bad one: corner-to-corner edges in host edge
+    order, then components by first vertex, labelled by one search.  Each is
+    filed under its corner pair, and only a bad one becomes a ``BridgeOf``.
     """
     if w.pattern not in (K5_PATTERN, M_PATTERN):
         raise GraphInputError(f"cannot decompose by a {w.pattern} witness")
-    pat = w.pattern_graph()
-    inv = {v: p for p, v in w.corner_map.items()}
-    corners = w.corners
-    groups: dict[tuple[int, int], list[BridgeOf]] = {}
-    for bridge in bridges_of(g, corners):
-        att = sorted(bridge.attachments)
+    parts = _bridge_parts(g, w.corners)
+    sides: dict[tuple[int, int], tuple[set[int], list[tuple[int, int]]]] = {}
+    for p, q in w.pattern_graph().edges:  # sorted, and so are the components
+        a, b = sorted((w.corner_map[p], w.corner_map[q]))
+        sides[a, b] = {a, b}, []
+    for inner, edges, att in parts:
         if len(att) < 2:
             raise GraphInputError(
                 "bridge with fewer than two attachments: host is not 2-connected"
             )
-        if len(att) >= 3 or not pat.has_edge(inv[att[0]], inv[att[1]]):
-            return bridge
-        a, b = att
-        groups.setdefault((a, b), []).append(bridge)
-
-    components = []
-    for pe in sorted(pat.edges):
-        a, b = sorted((w.corner_map[pe[0]], w.corner_map[pe[1]]))
-        brs = groups.pop((a, b), None)
-        if brs is None:
-            # a valid witness's own branch path is a bridge of this pair
-            raise InternalError(f"no bridge for pattern edge {pe}")
-        vs = frozenset({a, b}.union(*(br.internal for br in brs)))
-        es = frozenset().union(*(br.edges for br in brs))
-        components.append(SideComponent((a, b), vs, es))
-    if groups:
-        raise InternalError(f"bridges on corner pairs {sorted(groups)} outside the pattern")
+        key = tuple(sorted(att))
+        if key not in sides:  # three or more corners, or a pair off the pattern
+            return BridgeOf(frozenset(att), frozenset(inner), frozenset(edges))
+        sides[key][0].update(inner)
+        sides[key][1].extend(edges)
+    if not all(es for _, es in sides.values()):  # a valid witness's paths are bridges
+        raise InternalError("a corner pair of the pattern has no bridge")
+    components = (SideComponent(k, frozenset(vs), frozenset(es)) for k, (vs, es) in sides.items())
     return SideDecomposition(g, w, tuple(components))
 
 
@@ -228,10 +227,16 @@ def scan_block(
         if is_planar(block):
             return None
         w = kuratowski_witness(block)
-        if w.pattern == K33_PATTERN:
-            return w
-        if tk5s is not None:
+        if tk5s is not None and w.pattern == K5_PATTERN:
             tk5s.append(w)
+    return _scan_with(block, w)
+
+
+def _scan_with(block: Graph, w: SubdivisionWitness) -> SubdivisionWitness | SideDecomposition:
+    """:func:`scan_block` of a non-planar block from its Kuratowski witness
+    w, asking no more planarity of the block."""
+    if w.pattern == K33_PATTERN:
+        return w
     dec = decompose_by_corners(block, w)
     if isinstance(dec, BridgeOf):
         return _k33_from_bad_bridge(block, w, dec)

@@ -100,6 +100,15 @@ def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
     )
 
 
+def k5_chain(k, keep_glued):
+    """k copies of K5, copy i on 3i..3i+4, so copies i and i+1 share the
+    edge (3i+3, 3i+4); without ``keep_glued`` the shared edges are gone."""
+    edges = {e for i in range(k) for e in itertools.combinations(range(3 * i, 3 * i + 5), 2)}
+    if not keep_glued:
+        edges -= {(3 * i + 3, 3 * i + 4) for i in range(k - 1)}
+    return Graph(range(3 * k + 2), edges)
+
+
 def two_k5s_shared_vertex() -> Graph:
     k5 = Graph.complete(5)
     shift = lambda x: 0 if x == 0 else x + 4

@@ -361,6 +361,21 @@ def test_extraction_of_a_wrong_shape_is_an_internal_error(shape, monkeypatch):
         kuratowski_witness(Graph.complete(6))
 
 
+def test_witness_requires_nonplanar_also_past_nine_edges():
+    # the extraction asks no planarity of its input: the octahedron keeps
+    # every edge, and the prism (six 3s) and a 5-cycle with each edge
+    # doubled by a path (five 4s) have the degrees of a subdivision, so
+    # their witnesses fail to validate
+    octahedron = Graph(range(6), [e for e in itertools.combinations(range(6), 2)
+                                  if e not in ((0, 1), (2, 3), (4, 5))])
+    doubled = Graph(range(10), [(i, (i + 1) % 5) for i in range(5)]
+                    + [e for i in range(5) for e in ((i, 5 + i), (5 + i, (i + 1) % 5))])
+    for g in (octahedron, PRISM, doubled):
+        assert g.m >= 9 and is_planar(g)
+        with pytest.raises(GraphInputError):
+            kuratowski_witness(g)
+
+
 def test_find_k5_subdivision_identity(k5):
     w = find_k5_subdivision(k5)
     assert w.pattern == "K5" and sorted(w.corners) == [0, 1, 2, 3, 4]

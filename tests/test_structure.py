@@ -1,6 +1,9 @@
+import collections
 import itertools
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +11,15 @@ from toroidal import (
     NOT_IN_CLASS,
     BridgeOf,
     Graph,
+    GraphInputError,
     SideComponent,
+    SideDecomposition,
     SubdivisionWitness,
     all_splits,
     apply_split,
     blocks,
+    bridges_of,
+    build_m_subdivision,
     builtin,
     decide_toroidal,
     decompose_by_corners,
@@ -23,6 +30,7 @@ from toroidal import (
     from_graph6,
     is_k33_free,
     is_planar,
+    kuratowski_witness,
     verify_certificate,
 )
 from toroidal import structure
@@ -33,6 +41,7 @@ from conftest import (
     all_labeled_graphs,
     atlas_graphs,
     induced_subgraph,
+    k5_chain,
     random_graph,
     subdivide_edge,
 )
@@ -336,3 +345,125 @@ def test_not_k33_free_preserved_by_adding_edges(k33):
     for e in extra:
         g = g.add_edge(*e)
         assert not is_k33_free(g)
+
+
+def decompose_oracle(g: Graph, w: SubdivisionWitness):
+    """The side decomposition as grouped from :func:`bridges_of`: for each
+    pattern edge in sorted order, the union of the bridges on its corner
+    pair as (corners, vertices, edges), or else the first bad bridge."""
+    pat = w.pattern_graph()
+    inv = {v: p for p, v in w.corner_map.items()}
+    groups = {}
+    for bridge in bridges_of(g, w.corners):
+        att = tuple(sorted(bridge.attachments))
+        if len(att) < 2:
+            raise GraphInputError("a bridge with fewer than two attachments")
+        if len(att) >= 3 or not pat.has_edge(inv[att[0]], inv[att[1]]):
+            return bridge
+        groups.setdefault(att, []).append(bridge)
+    components = []
+    for p, q in sorted(pat.edges):
+        key = tuple(sorted((w.corner_map[p], w.corner_map[q])))
+        brs = groups.pop(key)
+        vertices = frozenset(key).union(*(br.internal for br in brs))
+        components.append((key, vertices, frozenset().union(*(br.edges for br in brs))))
+    assert not groups
+    return components
+
+
+def agrees_with_oracle(g: Graph, w: SubdivisionWitness) -> str:
+    """Check decompose_by_corners(g, w) against the oracle, and name the
+    outcome: "components", "bridge" or "error"."""
+    try:
+        want = decompose_oracle(g, w)
+    except GraphInputError:
+        with pytest.raises(GraphInputError):
+            decompose_by_corners(g, w)
+        return "error"
+    got = decompose_by_corners(g, w)
+    if isinstance(want, BridgeOf):
+        assert isinstance(got, BridgeOf)
+        assert (got.attachments, got.internal, got.edges) == (
+            want.attachments, want.internal, want.edges
+        )
+        return "bridge"
+    assert isinstance(got, SideDecomposition) and (got.host, got.witness) == (g, w)
+    assert [(sc.corners, sc.vertices, sc.edges) for sc in got.components] == want
+    return "components"
+
+
+def nested_decompositions(found):
+    """found, when it is a side decomposition, and every decomposition
+    below it in its side components' scans."""
+    if isinstance(found, SideDecomposition):
+        yield found
+        for sc in found.components:
+            yield from nested_decompositions(sc.scan)
+
+
+PAYLOADS_BY_CASE = Path(__file__).resolve().parent / "data" / "payloads_by_case.json"
+
+
+def test_decomposition_agrees_with_grouped_bridges():
+    outcomes = collections.Counter()
+    # the TK5 of every non-planar atlas block that has one, bad bridges too
+    for g in atlas_graphs(max_n=7):
+        for b in blocks(g):
+            block = Graph((), b)
+            w = None if is_planar(block) else find_subdivision(block, "K5")
+            if w is not None:
+                outcomes[agrees_with_oracle(block, w)] += 1
+    # G1..G11 and their single-edge deletions: the TK5 of each scanned block
+    # and of the whole graph, and the TM that Case iii builds from it
+    for i in range(1, 12):
+        g = builtin(f"G{i}")
+        for h in [g] + [g.delete_edge(*e) for e in g.edges]:
+            for dec in scan(h):
+                if dec is None:
+                    continue
+                outcomes[agrees_with_oracle(h, dec.witness)] += 1
+                outcomes[agrees_with_oracle(dec.host, dec.witness)] += 1
+                for f in dec.components:
+                    if not is_planar(f.subgraph):
+                        tm = build_m_subdivision(dec.host, dec.witness, f)
+                        if tm is not None:
+                            outcomes["TM " + agrees_with_oracle(dec.host, tm)] += 1
+    # the TK5 and TM of the nine pinned payloads
+    for entry in json.loads(PAYLOADS_BY_CASE.read_text(encoding="utf-8")).values():
+        g = from_graph6(entry["graph6"])
+        v = decide_toroidal(g)
+        block = g if v.block_index is None else Graph((), blocks(g)[v.block_index])
+        for w in (v.tk5, v.tm):
+            if w is not None:
+                outcomes[agrees_with_oracle(block, w)] += 1
+    # chains of K5s, and the decompositions nested in their side components
+    for k in (10, 20):
+        for dec in nested_decompositions(scan(k5_chain(k, keep_glued=True))[0]):
+            outcomes[agrees_with_oracle(dec.host, dec.witness)] += 1
+    # 516 decompositions, 127 bad bridges, 62 hosts that are not 2-connected
+    # and 28 TMs when this test was written
+    assert outcomes["components"] > 400 and outcomes["bridge"] > 100
+    assert outcomes["error"] > 40 and outcomes["TM components"] > 20
+
+
+def test_decomposition_error_paths(k5, k33, mgraph):
+    tk5 = find_k5_subdivision(k5)
+    with pytest.raises(GraphInputError, match="not 2-connected"):
+        decompose_by_corners(k5.add_edge(0, 5), tk5)  # a pendant vertex at corner 0
+    with pytest.raises(GraphInputError, match="K3,3 witness"):
+        decompose_by_corners(k33, kuratowski_witness(k33))
+    with pytest.raises(GraphInputError, match="vertex 4 not in graph"):
+        decompose_by_corners(Graph.complete(4), tk5)  # corner 4 is missing
+
+
+def test_first_bad_bridge_is_a_corner_edge_in_host_edge_order(mgraph):
+    # 2, 5 and 3, 6 lie in different triangles of M, so are not adjacent in
+    # the pattern; the tripod on 8 spans three corners but is a component,
+    # and components come after the corner edges
+    w = find_subdivision(mgraph, "M")
+    edge_25 = BridgeOf(frozenset({2, 5}), frozenset(), frozenset({(2, 5)}))
+    assert decompose_by_corners(mgraph.add_edge(2, 5), w) == edge_25
+    g = Graph(range(9), list(mgraph.edges) + [(3, 6), (2, 5), (0, 8), (3, 8), (6, 8)])
+    assert decompose_by_corners(g, w) == edge_25
+    tripod = decompose_by_corners(g.delete_edge(2, 5).delete_edge(3, 6), w)
+    assert tripod.internal == {8} and tripod.attachments == {0, 3, 6}

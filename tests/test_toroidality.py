@@ -44,7 +44,14 @@ from toroidal.toroidality import (
     _report,
 )
 
-from conftest import atlas_graphs, g3_tail, g3_with_k4s, random_graph, two_k5s_shared_vertex
+from conftest import (
+    atlas_graphs,
+    g3_tail,
+    g3_with_k4s,
+    k5_chain,
+    random_graph,
+    two_k5s_shared_vertex,
+)
 
 
 def check(g, status, case=None):
@@ -172,15 +179,6 @@ def test_two_nonplanar_augmented_certificate_path(k5):
         m_components=(),
     )
     assert verify_certificate(g, hand_built)
-
-
-def k5_chain(k, keep_glued):
-    """k copies of K5, copy i on 3i..3i+4, so copies i and i+1 share the
-    edge (3i+3, 3i+4); without ``keep_glued`` the shared edges are gone."""
-    edges = {e for i in range(k) for e in itertools.combinations(range(3 * i, 3 * i + 5), 2)}
-    if not keep_glued:
-        edges -= {(3 * i + 3, 3 * i + 4) for i in range(k - 1)}
-    return Graph(range(3 * k + 2), edges)
 
 
 @pytest.mark.parametrize("keep_glued", [True, False])

@@ -23,7 +23,7 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable simple undirected graph over integer vertex labels."""
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_hash")
+    __slots__ = ("_vertices", "_edges", "_adj", "_hash", "_blocks")
 
     def __init__(self, vertices=(), edges=()):
         vs = {int(v) for v in vertices}
@@ -40,7 +40,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = {v: tuple(ns) for v, ns in adj.items()}
-        self._hash = hash((self._vertices, self._edges))
+        self._hash = self._blocks = None  # each computed when first asked
 
     # -- basic accessors -------------------------------------------------
 
@@ -84,6 +84,8 @@ class Graph:
         return self._vertices == other._vertices and self._edges == other._edges
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self._vertices, self._edges))
         return self._hash
 
     def __repr__(self):
@@ -236,7 +238,15 @@ def blocks(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
     builds a ``Graph`` only for a block it scans.
 
     Every edge lies in exactly one block; isolated vertices are in none.
+    Kept on g, so the search runs once per graph, the result holds g's own
+    edge tuples, and is ``(g.edges,)`` when g is one block.
     """
+    if g._blocks is None:
+        g._blocks = _block_pass(g)
+    return g._blocks
+
+
+def _block_pass(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
     adj = g._adj
     index: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -278,9 +288,12 @@ def blocks(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
                         e, k = ((u, v) if u < v else (v, u)), len(edge_stack) - 1
                         while edge_stack[k] != e:
                             k -= 1
-                        out.append(tuple(sorted(edge_stack[k:])))
+                        out.append(edge_stack[k:])
                         del edge_stack[k:]
-    return tuple(out)
+    if len(out) == 1:
+        return (g._edges,)
+    own = dict(zip(g._edges, g._edges))
+    return tuple(tuple(sorted(map(own.__getitem__, b))) for b in out)
 
 
 # -- text formats ----------------------------------------------------------

@@ -75,7 +75,7 @@ class SideComponent:
     def scan(self) -> SubdivisionWitness | SideDecomposition | None:
         if self.augmented_planar:
             return None
-        return _scan_with(self.augmented, kuratowski_witness(self.augmented))
+        return _scan_with(self.augmented)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,21 +220,21 @@ def scan_block(
     such as the single-edge minors of one graph.  The first that validates
     on the block proves it non-planar and stands in for the planarity test
     and the extraction; any TK5 serves the decomposition.  A TK5 extracted
-    here is appended to the pool.  A block too small to be non-planar
-    consults no pool: callers gate by edge count or by planarity."""
+    here is appended to the pool.  :func:`scan` calls this only while the
+    pool holds a TK5, and not on a block too small to be non-planar."""
     w = next((t for t in tk5s or () if t.holds_in(block)), None)
+    if w is None and is_planar(block):
+        return None
+    return _scan_with(block, w, tk5s)
+
+
+def _scan_with(block: Graph, w=None, tk5s=None) -> SubdivisionWitness | SideDecomposition:
+    """:func:`scan_block` of a non-planar block from its Kuratowski witness
+    w, or one extracted here for the pool, asking no more planarity of it."""
     if w is None:
-        if is_planar(block):
-            return None
         w = kuratowski_witness(block)
         if tk5s is not None and w.pattern == K5_PATTERN:
             tk5s.append(w)
-    return _scan_with(block, w)
-
-
-def _scan_with(block: Graph, w: SubdivisionWitness) -> SubdivisionWitness | SideDecomposition:
-    """:func:`scan_block` of a non-planar block from its Kuratowski witness
-    w, asking no more planarity of the block."""
     if w.pattern == K33_PATTERN:
         return w
     dec = decompose_by_corners(block, w)
@@ -251,14 +251,16 @@ def scan(
 ) -> SubdivisionWitness | list[SideDecomposition | None]:
     """:func:`scan_block` over the blocks of g: the first TK3,3 witness it
     finds, or else each block's scan, None for a planar block and its side
-    decomposition, which holds the block as its host, otherwise.  A block
-    too small to be non-planar is None by its count, and only a larger one
-    becomes a ``Graph``."""
+    decomposition, which holds the block as its host, otherwise.  Without
+    TK5s in the pool, planarity is asked of a block's edges, and only a
+    non-planar block becomes a ``Graph``."""
     scanned = []
     for edges in blocks(g):
         found = None
-        if len(edges) >= FEWEST_NONPLANAR_EDGES:
+        if tk5s and len(edges) >= FEWEST_NONPLANAR_EDGES:
             found = scan_block(Graph((), edges), tk5s)
+        elif not tk5s and not planar_edges(edges):
+            found = _scan_with(Graph((), edges), None, tk5s)
         if isinstance(found, SubdivisionWitness):
             return found
         scanned.append(found)

@@ -137,11 +137,11 @@ class SubdivisionWitness:
         return True
 
     def checked(self, g: Graph, what: str) -> SubdivisionWitness:
-        """This witness, once :meth:`validate` accepts it inside ``g``.  For
-        witnesses the package builds itself: a failure is its own fault, an
-        :class:`InternalError` naming ``what``."""
+        """This witness, once its structure validates inside ``g``.  For
+        witnesses the package builds itself, well formed as data: a failure
+        is its own fault, an :class:`InternalError` naming ``what``."""
         try:
-            self.validate(g)
+            self._validate_structure(g)
         except ValueError as exc:
             raise InternalError(f"{what} is invalid: {exc}") from exc
         return self
@@ -151,11 +151,19 @@ class SubdivisionWitness:
         inside ``g``, also when it is malformed as data."""
         if not isinstance(self.corner_map, dict) or not isinstance(self.branch_paths, dict):
             raise ValueError("corner map or path map is not a dict")
+        paths = self.branch_paths.values()
+        ints = itertools.chain(self.corner_map.values(), itertools.chain.from_iterable(paths))
+        if set(map(type, paths)) - {tuple} or set(map(type, ints)) - {int}:
+            raise ValueError("a branch path is not a tuple, or a corner or path vertex not an int")
+        self._validate_structure(g)
+
+    def _validate_structure(self, g: Graph) -> None:
+        """:meth:`validate` of a witness that is well formed as data."""
         pat = self.pattern_graph()
         if set(self.corner_map) != set(pat.vertices):
             raise ValueError("corner map keys do not match the pattern")
         for p, v in self.corner_map.items():
-            if not isinstance(v, int) or not g.has_vertex(v):
+            if not g.has_vertex(v):
                 raise ValueError(f"corner image {v} missing from host")
             if g.degree(v) < pat.degree(p):
                 raise ValueError(f"host degree of corner {v} below pattern degree")
@@ -163,10 +171,6 @@ class SubdivisionWitness:
             raise ValueError("corner map is not injective")
         if set(self.branch_paths) != set(pat.edges):
             raise ValueError("branch path keys do not match the pattern edges")
-        paths = self.branch_paths.values()
-        vertices = itertools.chain.from_iterable
-        if set(map(type, paths)) - {tuple} or set(map(type, vertices(paths))) - {int}:
-            raise ValueError("a branch path is not a tuple of ints")
         corners = self.corners
         seen_internal: set[int] = set()
         for (p, q), path in self.branch_paths.items():

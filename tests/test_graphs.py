@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 
@@ -93,6 +94,29 @@ def test_blocks_partition_edges():
         assert sorted(seen) == list(g.edges)
 
 
+def _assert_blocks_kept_on_the_graph(g: Graph, found) -> None:
+    # the memo holds no second copy of an edge: each tuple is one of g's
+    # own, and a graph that is one block has g.edges itself as its block
+    assert blocks(g) is found
+    own = set(map(id, g.edges))
+    assert all(id(e) in own for b in found for e in b)
+    assert len(found) != 1 or found[0] is g.edges
+
+
+def test_blocks_of_a_pickled_graph_are_its_own():
+    rng = random.Random(4)
+    graphs = [Graph.complete(5), Graph.path(6), Graph((), [(0, 1), (1, 2), (2, 0), (2, 3)])]
+    graphs += [random_graph(rng, rng.randint(2, 10), rng.uniform(0.1, 0.6)) for _ in range(30)]
+    for g in graphs:
+        fresh = pickle.loads(pickle.dumps(g))  # pickled before its blocks are asked
+        found = blocks(g)
+        kept = pickle.loads(pickle.dumps(g))  # and after
+        for h in (fresh, kept):
+            assert h == g and h is not g
+            assert blocks(h) == found
+            _assert_blocks_kept_on_the_graph(h, blocks(h))
+
+
 def _nx_blocks(G: nx.Graph) -> set[frozenset[tuple[int, int]]]:
     return {
         frozenset((u, v) if u < v else (v, u) for u, v in block)
@@ -104,6 +128,8 @@ def _assert_blocks_as_networkx(G: nx.Graph) -> None:
     g = Graph(G.nodes, G.edges)
     found = blocks(g)
     assert all(Graph((), b).edges == b for b in found)
+    _assert_blocks_kept_on_the_graph(g, found)
+    assert blocks(Graph(G.nodes, G.edges)) == found
     assert sum(map(len, found)) == g.m
     assert set(map(frozenset, found)) == _nx_blocks(G)
 

@@ -270,6 +270,33 @@ def test_atlas_decisions_and_replays_stay_within_the_graph_budget(empty_cache, m
     assert len(built) <= 2100
 
 
+def test_atlas_decisions_and_replays_share_one_block_pass_per_graph(monkeypatch):
+    # replay ran the block search again on 1,049 of the 1,252 graphs, and
+    # decide built 776 Graphs when each block of 9 or more edges became one
+    # to ask its planarity; inputs are built before the counting starts
+    from toroidal import decide_toroidal, graphs, verify_certificate
+
+    inputs = atlas_graphs(max_n=7)
+    passes, built = [], []
+    original_pass, original_init = graphs._block_pass, Graph.__init__
+
+    def counting_pass(g):
+        passes.append(g)
+        return original_pass(g)
+
+    def counting_init(self, *args):
+        built.append(args)
+        original_init(self, *args)
+
+    monkeypatch.setattr(graphs, "_block_pass", counting_pass)
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    verdicts = [decide_toroidal(g) for g in inputs]
+    assert len(built) <= 300
+    assert all(verify_certificate(g, v) for g, v in zip(inputs, verdicts))
+    assert len(inputs) == len(passes) == 1252
+    assert all(p is g for p, g in zip(passes, inputs))
+
+
 def _assert_edge_minimal_witness(g):
     w = kuratowski_witness(g)
     w.validate(g)

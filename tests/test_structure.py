@@ -128,6 +128,49 @@ def test_blocks_below_nine_edges_consult_no_pool():
         scan(Graph.complete_bipartite(3, 3), pool)
 
 
+CUBE = Graph((), ((i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b))
+
+
+@pytest.mark.parametrize("pool", [None, []], ids=["no pool", "empty pool"])
+def test_a_planar_block_without_pool_tk5s_builds_no_graph(pool, monkeypatch):
+    # the cube is one planar block of 12 edges: its planarity is asked of
+    # its edge tuple, and only a non-planar block becomes a Graph
+    assert CUBE.m >= 9 and blocks(CUBE) == (CUBE.edges,)
+    built = []
+    original = Graph.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    assert scan(CUBE, pool) == [None]
+    assert built == [] and pool in (None, [])
+
+
+def test_a_pool_tk5_that_validates_spares_its_block_the_planarity_kernel(k5, monkeypatch):
+    # the pool is tried before any planarity question: a TK5 that holds in
+    # the block proves it non-planar, and K5's side components are single
+    # edges, so no kernel call is made; with an empty pool there is one
+    from toroidal import planarity
+
+    calls = []
+    original = planarity._planar
+
+    def counting(adj):
+        calls.append(adj)
+        return original(adj)
+
+    monkeypatch.setattr(planarity, "_planar", counting)
+    pool = [kuratowski_witness(k5)]
+    assert k5.m >= 9 and pool[0].holds_in(k5)
+    (dec,) = scan(k5, pool)
+    assert dec.witness is pool[0] and len(pool) == 1 and calls == []
+    empty = []
+    (dec,) = scan(k5, empty)
+    assert empty == [dec.witness] and len(calls) == 1
+
+
 def test_class_check_builds_every_k33_witness(monkeypatch):
     # every atlas graph on up to 7 vertices and every first-level split of
     # G1..G4: out-of-class ones get a witness with no exhaustive search
